@@ -196,7 +196,10 @@ def quantile_map(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Map uniforms in [0,1) to symbols via the inverse cdf of probs."""
     cdf = np.cumsum(probs)
     idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, probs.size - 1).astype(np.int64)
+    if np.ndim(idx) == 0:
+        return np.int64(min(idx, probs.size - 1))
+    np.minimum(idx, probs.size - 1, out=idx)
+    return idx if idx.dtype == np.int64 else idx.astype(np.int64)
 
 
 def require_length(seq, n: int, what: str = "sequence") -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .channels import Dmmac, GgMac, gg_sample
+from .channels import Dmmac, gg_sample  # noqa: F401  (bench traces it by name)
 from .errors import (
     DegenerateFit,
     InstanceTooLarge,
@@ -37,6 +37,7 @@ from .prob import Joint3Pmf, quantile_map
 from .schemes import Scheme, build_scheme_for_class, class_exponent
 
 _BLOCK = 2048
+_SLICE = 1 << 16  # source uniforms drawn and mapped at once within a block
 _MAX_COMPOSITIONS = 4_000_000
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -123,19 +124,10 @@ class SimReport:
         fitted = self.fitted_exponent
         fit_str = _fmt(fitted) if fitted is not None else "nan"
         for pt in self.points:
-            cols = [
-                str(pt.n),
-                pt.estimator,
-                _fmt(pt.alpha_hat),
-                _fmt(pt.alpha_lo),
-                _fmt(pt.alpha_hi),
-                _fmt(pt.beta_hat),
-                _fmt(pt.beta_lo),
-                _fmt(pt.beta_hi),
-                fit_str,
-                _fmt(self.theoretical_exponent),
-                str(self.seed),
-            ]
+            probs = (pt.alpha_hat, pt.alpha_lo, pt.alpha_hi,
+                     pt.beta_hat, pt.beta_lo, pt.beta_hi)
+            cols = [str(pt.n), pt.estimator, *map(_fmt, probs), fit_str,
+                    _fmt(self.theoretical_exponent), str(self.seed)]
             out.write(",".join(cols) + "\n")
         return out.getvalue()
 
@@ -166,49 +158,102 @@ def wilson_interval(successes: int, trials: int) -> tuple:
     return (lo, hi)
 
 
-def _block_seeds(seed, blocks: int):
+def _map_blocks(trials: int, seed, workers: int, block_fn) -> list:
+    """block_fn(seed_seq, count) over blocks of at most _BLOCK trials, each
+    seeded from (seed, block index); results come back in block order."""
+    counts = [min(_BLOCK, trials - start) for start in range(0, trials, _BLOCK)]
     entropy = seed if isinstance(seed, (tuple, list)) else (int(seed),)
-    return [np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(blocks)]
+    seeds = [np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(len(counts))]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(block_fn, seeds, counts))
+    return [block_fn(s, c) for s, c in zip(seeds, counts)]
 
 
-def _channel_draw(channel, x1, x2, rng):
-    """One channel use per slot. Uniforms and noise are drawn from rng in a
-    fixed order, so coupled hypothesis runs must share the rng stream by
-    drawing before branching (the callers below do)."""
-    if channel is None:
-        return np.zeros(x1.size)
-    if isinstance(channel, Dmmac):
-        rows = channel.kernel[x1, x2]
-        cdf = np.cumsum(rows, axis=1)
-        u = rng.random(x1.size)
-        return (u[:, None] < cdf).argmax(axis=1)
-    if isinstance(channel, GgMac):
-        z = gg_sample(channel.p, channel.sigma, x1.size, rng)
-        return channel.h1 * x1 + channel.h2 * x2 + z
-    raise TypeError(f"unsupported channel type {type(channel).__name__}")
+def _refs(scheme: Scheme) -> dict:
+    """Reference pmf of each axis, by axis number."""
+    return {0: scheme.ref_u1, 1: scheme.ref_u2, 2: scheme.ref_v}
+
+
+def _cell_counts(probs_flat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Joint-cell counts of each row of uniforms mapped through the inverse
+    cdf of probs_flat, as one (rows, cells) array from a single bincount."""
+    rows, m = u.shape[0], probs_flat.size
+    cells = quantile_map(probs_flat, u)
+    cells += np.arange(0, rows * m, m)[:, None]
+    return np.bincount(cells.ravel(), minlength=rows * m).reshape(rows, m)
+
+
+def _source_counts(probs_flats, rng, count: int, n: int) -> list:
+    """Joint-cell counts (count, cells) under each pmf in probs_flats, from
+    the uniforms of one rng.random((count, n)) drawn a slice of rows at a
+    time: a block's memory does not grow with n, so peak memory no longer
+    depends on whether two pool threads hold whole blocks at once."""
+    step = max(1, _SLICE // n)
+    parts = [[] for _ in probs_flats]
+    for start in range(0, count, step):
+        u = rng.random((min(step, count - start), n))
+        for part, probs_flat in zip(parts, probs_flats):
+            part.append(_cell_counts(probs_flat, u))
+    return [np.concatenate(part) for part in parts]
+
+
+def _read_flags(counts: np.ndarray, dims, scheme: Scheme) -> dict:
+    """Typicality flag of every axis the rule reads, per row of counts."""
+    per_axis = counts.reshape(-1, *dims)
+    refs = _refs(scheme)
+    flags = {}
+    for axis in _scheme_axes(scheme):
+        other = tuple(1 + a for a in range(3) if a != axis)
+        flags[axis] = _typicality_flags(
+            per_axis.sum(axis=other), refs[axis], scheme.mu, scheme.n
+        )
+    return flags
+
+
+def _signallers(scheme: Scheme) -> list:
+    """(axis, witness) of every sensor that signals, in slot order."""
+    out = []
+    if scheme.signals1:
+        out.append((0, scheme.markers.sensor1))
+    if scheme.signals2:
+        out.append((1, scheme.markers.sensor2))
+    return out
+
+
+def _scheme_axes(scheme: Scheme) -> tuple:
+    return tuple(axis for axis, _ in _signallers(scheme)) + (2,)
+
+
+def _batch_accept(joint: Joint3Pmf, channel, scheme: Scheme, counts, u_marker):
+    """Decide-0 of every trial: source joint-cell counts (trials, cells)
+    from _cell_counts, and each signalling sensor's k marker-slot outputs
+    drawn from the kernel row of its on or off input and the partner's
+    pilot with u_marker[i] (trials, k). No other channel output is read, so
+    none is drawn."""
+    flags = _read_flags(counts, joint.dims, scheme)
+    accept = flags[2]
+    for (axis, w), u in zip(_signallers(scheme), u_marker):
+        shown = []  # marker in some slot if the sensor sends on, if it sends off
+        for x in (w.on_input, w.off_input):
+            row = channel.kernel[(x, w.partner_pilot) if axis == 0 else (w.partner_pilot, x)]
+            shown.append((quantile_map(row, u) == w.marker_output).any(axis=1))
+        accept = accept & np.where(flags[axis], *shown)
+    return accept
 
 
 def _direct_block(problem, channel, scheme, seed_seq, count, sides):
     rng = np.random.default_rng(seed_seq)
-    n = scheme.n
-    dims = problem.p.dims
-    u_src = rng.random((count, n))
-    flat_p = quantile_map(problem.p.probs.ravel(), u_src.ravel()).reshape(count, n)
-    flat_q = quantile_map(problem.q.probs.ravel(), u_src.ravel()).reshape(count, n)
-    rejects = accepts = 0
-    for i in range(count):
-        # channel randomness is drawn once per trial and replayed for the
-        # alternative, coupling the two hypothesis runs
-        state = rng.bit_generator.state
-        if "null" in sides:
-            u1, u2, v = np.unravel_index(flat_p[i], dims)
-            y = _channel_draw(channel, scheme.encode1(u1), scheme.encode2(u2), rng)
-            rejects += scheme.decide(y, v)
-        if "alt" in sides:
-            rng.bit_generator.state = state
-            u1, u2, v = np.unravel_index(flat_q[i], dims)
-            y = _channel_draw(channel, scheme.encode1(u1), scheme.encode2(u2), rng)
-            accepts += 1 - scheme.decide(y, v)
+    null, alt = "null" in sides, "alt" in sides
+    joints = [problem.p] * null + [problem.q] * alt
+    counts = _source_counts([j.probs.ravel() for j in joints], rng, count, scheme.n)
+    # the marker-slot uniforms are drawn before branching on the hypothesis,
+    # so the two runs share them as well as the source uniforms
+    u_marker = [rng.random((count, scheme.k)) for _ in _signallers(scheme)]
+    accepted = [int(_batch_accept(j, channel, scheme, c, u_marker).sum())
+                for j, c in zip(joints, counts)]
+    rejects = count - accepted[0] if null else 0
+    accepts = accepted[-1] if alt else 0
     return rejects, accepts
 
 
@@ -236,9 +281,9 @@ def run_trials(
     """Direct Monte-Carlo of both error probabilities.
 
     Source draws are inverse-cdf through uniforms shared across the two
-    hypotheses, and the channel replays the same randomness for both, so
-    the estimates are trial-coupled: with P = Q every trial rejects under
-    exactly one hypothesis and alpha_hat + beta_hat = 1 exactly.
+    hypotheses, and so are the marker-slot channel draws, so the estimates
+    are trial-coupled: with P = Q every trial rejects under exactly one
+    hypothesis and alpha_hat + beta_hat = 1 exactly.
     """
     if n != scheme.n:
         raise ValueError(f"scheme was built for n={scheme.n}, got n={n}")
@@ -247,22 +292,12 @@ def run_trials(
     bad = set(sides) - {"null", "alt"}
     if bad or not sides:
         raise ValueError(f"sides must be a nonempty subset of ('null','alt')")
-    blocks = [(i * _BLOCK, min(_BLOCK, trials - i * _BLOCK))
-              for i in range((trials + _BLOCK - 1) // _BLOCK)]
-    seeds = _block_seeds(seed, len(blocks))
-
-    def work(idx):
-        return _direct_block(
-            problem, channel, scheme, seeds[idx], blocks[idx][1], sides
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(len(blocks))))
-    else:
-        results = [work(i) for i in range(len(blocks))]
-    rejects = sum(r for r, _ in results)
-    accepts = sum(a for _, a in results)
+    if _signallers(scheme) and not isinstance(channel, Dmmac):
+        raise TypeError("marker schemes need a discrete channel kernel")
+    results = _map_blocks(trials, seed, workers, lambda seed_seq, count: _direct_block(
+        problem, channel, scheme, seed_seq, count, sides
+    ))
+    rejects, accepts = map(sum, zip(*results))
     a_hat = rejects / trials if "null" in sides else math.nan
     b_hat = accepts / trials if "alt" in sides else math.nan
     a_lo, a_hi = wilson_interval(rejects, trials) if "null" in sides else (math.nan,) * 2
@@ -271,16 +306,6 @@ def run_trials(
 
 
 # --- exact enumeration ---
-
-
-def _scheme_axes(scheme: Scheme) -> tuple:
-    axes = []
-    if scheme.signals1:
-        axes.append(0)
-    if scheme.signals2:
-        axes.append(1)
-    axes.append(2)
-    return tuple(axes)
 
 
 def _compositions(n: int, m: int) -> np.ndarray:
@@ -299,11 +324,14 @@ def _compositions(n: int, m: int) -> np.ndarray:
         dtype=np.int64,
         count=total * (m - 1),
     ).reshape(total, m - 1)
-    left = np.concatenate([np.full((total, 1), -1, dtype=np.int64), bars], axis=1)
-    right = np.concatenate(
-        [bars, np.full((total, 1), n + m - 1, dtype=np.int64)], axis=1
-    )
-    return right - left - 1
+    # part j is the gap between bars j-1 and j, written in place: the
+    # enumeration is the largest allocation of an exact run
+    comps = np.empty((total, m), dtype=np.int64)
+    comps[:, 0] = bars[:, 0]
+    np.subtract(bars[:, 1:], bars[:, :-1], out=comps[:, 1:-1])
+    comps[:, 1:-1] -= 1
+    np.subtract(n + m - 2, bars[:, -1], out=comps[:, -1])
+    return comps
 
 
 def _typicality_flags(counts: np.ndarray, ref, mu: float, n: int) -> np.ndarray:
@@ -323,15 +351,12 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     support = np.flatnonzero(flat > 0)
     n = scheme.n
     comps = _compositions(n, support.size)
-    logw = (
-        gammaln(n + 1)
-        - gammaln(comps + 1).sum(axis=1)
-        + comps @ np.log(flat[support])
-    )
+    log_fact = gammaln(np.arange(1, n + 2))  # log k! at index k
+    logw = log_fact[n] - log_fact[comps].sum(axis=1) + comps @ np.log(flat[support])
     weights = np.exp(logw)
 
     cell_axis_symbol = np.unravel_index(support, reduced.shape)
-    refs = {0: scheme.ref_u1, 1: scheme.ref_u2, 2: scheme.ref_v}
+    refs = _refs(scheme)
     flags = {}
     for pos, axis in enumerate(axes):
         size = reduced.shape[pos]
@@ -340,12 +365,19 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
         counts = comps @ onehot
         flags[axis] = _typicality_flags(counts, refs[axis], scheme.mu, n)
 
+    return float(weights @ _accept_weights(flags, scheme))
+
+
+def _accept_weights(flags: dict, scheme: Scheme) -> np.ndarray:
+    """P(decide 0) given the read axes' typicality flags: every flag must
+    pass, and each signalled on-block shows its marker in one of k slots
+    unless all k miss, which has probability (1 - p)^k."""
     acc = flags[2].astype(float)
     if scheme.signals1:
         acc *= np.where(flags[0], 1.0 - (1.0 - scheme.p_marker1) ** scheme.k, 0.0)
     if scheme.signals2:
         acc *= np.where(flags[1], 1.0 - (1.0 - scheme.p_marker2) ** scheme.k, 0.0)
-    return float(weights @ acc)
+    return acc
 
 
 def exact_error_probs(problem: TestProblem, channel, scheme: Scheme, n: int) -> tuple:
@@ -369,12 +401,8 @@ def exact_error_probs(problem: TestProblem, channel, scheme: Scheme, n: int) -> 
 def default_tilt(problem: TestProblem, scheme: Scheme) -> Joint3Pmf:
     """I-projection of Q onto the scheme's pinned marginals: the source
     distribution that dominates the type-2 error event."""
-    cons = {}
-    if scheme.signals1:
-        cons[0] = scheme.ref_u1
-    if scheme.signals2:
-        cons[1] = scheme.ref_u2
-    cons[2] = scheme.ref_v
+    refs = _refs(scheme)
+    cons = {axis: refs[axis] for axis in _scheme_axes(scheme)}
     res = min_kl_fixed_marginals(problem.q.probs, cons)
     argmin = np.maximum(res.argmin, 0.0)
     return Joint3Pmf(argmin / argmin.sum())
@@ -388,61 +416,31 @@ def _check_tilt(problem: TestProblem, scheme: Scheme, tilt: Joint3Pmf) -> None:
     ta = tilt.probs
     if ta.shape != qa.shape:
         raise ValueError(f"tilt dims {ta.shape} do not match problem dims {qa.shape}")
+    refs = _refs(scheme)
     for cell in zip(*np.nonzero((ta == 0) & (qa > 0))):
-        a, b, c = (int(i) for i in cell)
-        forced = scheme.ref_v.probs[c] == 0
-        if scheme.signals1:
-            forced = forced or scheme.ref_u1.probs[a] == 0
-        if scheme.signals2:
-            forced = forced or scheme.ref_u2.probs[b] == 0
-        if not forced:
+        cell = tuple(int(i) for i in cell)
+        if not any(refs[axis].probs[cell[axis]] == 0 for axis in _scheme_axes(scheme)):
             raise ZeroTiltOnSupport(
-                f"tilt is zero at cell {(a, b, c)} where Q is positive and "
+                f"tilt is zero at cell {cell} where Q is positive and "
                 "acceptance is possible"
             )
 
 
 def _is_block(problem, scheme, tilt_flat, log_ratio, seed_seq, count):
-    """Returns (logsumexp of contributions, logsumexp of squared ones)."""
+    """Returns (hi, s1, s2): the largest log contribution, and the sums of
+    the contributions and of their squares scaled by exp(-hi), exp(-2 hi)."""
     rng = np.random.default_rng(seed_seq)
-    n = scheme.n
-    m = tilt_flat.size
-    flat = quantile_map(tilt_flat, rng.random((count, n)).ravel()).reshape(count, n)
-    counts = np.zeros((count, m))
-    np.add.at(counts, (np.repeat(np.arange(count), n), flat.ravel()), 1.0)
-
-    dims = problem.q.dims
-    cell_symbols = np.unravel_index(np.arange(m), dims)
-    refs = ((0, scheme.ref_u1), (1, scheme.ref_u2), (2, scheme.ref_v))
-    acc = np.ones(count)
-    factors = {
-        0: 1.0 - (1.0 - scheme.p_marker1) ** scheme.k if scheme.signals1 else None,
-        1: 1.0 - (1.0 - scheme.p_marker2) ** scheme.k if scheme.signals2 else None,
-    }
-    for axis, ref in refs:
-        if axis == 0 and not scheme.signals1:
-            continue
-        if axis == 1 and not scheme.signals2:
-            continue
-        onehot = np.zeros((m, dims[axis]))
-        onehot[np.arange(m), cell_symbols[axis]] = 1.0
-        axis_counts = counts @ onehot
-        flag = _typicality_flags(axis_counts, ref, scheme.mu, n)
-        factor = 1.0 if axis == 2 else factors[axis]
-        acc *= np.where(flag, factor, 0.0)
+    (counts,) = _source_counts([tilt_flat], rng, count, scheme.n)
+    acc = _accept_weights(_read_flags(counts, problem.q.dims, scheme), scheme)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = counts @ log_ratio
-        contrib = np.where(acc > 0, logw + np.log(acc, where=acc > 0,
-                                                  out=np.full(count, -np.inf)), -np.inf)
+        contrib = counts @ log_ratio + np.log(acc)
     contrib = contrib[np.isfinite(contrib)]
     if contrib.size == 0:
-        return -np.inf, -np.inf
+        return -np.inf, 0.0, 0.0
     hi = contrib.max()
-    lse = hi + math.log(np.exp(contrib - hi).sum())
-    hi2 = 2 * hi
-    lse2 = hi2 + math.log(np.exp(2 * contrib - hi2).sum())
-    return lse, lse2
+    scaled = np.exp(contrib - hi)
+    return hi, scaled.sum(), (scaled * scaled).sum()
 
 
 def importance_sample_beta(
@@ -460,8 +458,9 @@ def importance_sample_beta(
 
     The marker randomness is integrated out with the same closed form the
     exact oracle uses, which only reduces variance. Returns (beta_hat,
-    variance of the estimator); aggregation is streaming log-sum-exp over
-    blocks, reduced in block order for worker-count invariance.
+    variance of the estimator), which also carries the standard error as
+    `std_err`; aggregation is streaming log-sum-exp over blocks, reduced in
+    block order for worker-count invariance.
     """
     if n != scheme.n:
         raise ValueError(f"scheme was built for n={scheme.n}, got n={n}")
@@ -487,27 +486,33 @@ def importance_sample_beta(
         # a tilt-sampled cell outside Q's support contributes weight zero
         log_ratio = np.where((tilt_flat > 0) & (q_flat == 0), -np.inf, log_ratio)
 
-    blocks = [(i * _BLOCK, min(_BLOCK, trials - i * _BLOCK))
-              for i in range((trials + _BLOCK - 1) // _BLOCK)]
-    seeds = _block_seeds(seed, len(blocks))
-
-    def work(idx):
-        return _is_block(problem, scheme, tilt_flat, log_ratio, seeds[idx], blocks[idx][1])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(len(blocks))))
-    else:
-        results = [work(i) for i in range(len(blocks))]
-
-    lse = lse2 = -np.inf
-    for b_lse, b_lse2 in results:  # block order, not completion order
-        lse = np.logaddexp(lse, b_lse)
-        lse2 = np.logaddexp(lse2, b_lse2)
+    results = _map_blocks(trials, seed, workers, lambda seed_seq, count: _is_block(
+        problem, scheme, tilt_flat, log_ratio, seed_seq, count
+    ))
+    live = [r for r in results if r[1] > 0]  # block order, not completion order
+    lse = -np.inf
+    for hi, s1, _ in live:
+        lse = np.logaddexp(lse, hi + math.log(s1))
     beta_hat = float(np.exp(lse - math.log(trials)))
-    second_moment = float(np.exp(lse2 - math.log(trials)))
-    variance = max(second_moment - beta_hat * beta_hat, 0.0) / trials
-    return beta_hat, variance
+    std_err = 0.0
+    if live:
+        # second moment over beta_hat^2, both taken relative to the largest
+        # contribution: at large n each moment underflows, the ratio does not
+        top = max(hi for hi, _, _ in live)
+        s1 = sum(b1 * math.exp(hi - top) for hi, b1, _ in live)
+        s2 = sum(b2 * math.exp(2 * (hi - top)) for hi, _, b2 in live)
+        std_err = beta_hat * math.sqrt(max(trials * s2 / (s1 * s1) - 1.0, 0.0) / trials)
+    return _BetaEstimate(beta_hat, std_err)
+
+
+class _BetaEstimate(tuple):
+    """(beta_hat, variance), keeping the standard error as `std_err`: it
+    stays representable where the variance underflows below 1e-308."""
+
+    def __new__(cls, beta_hat: float, std_err: float):
+        self = super().__new__(cls, (beta_hat, std_err * std_err))
+        self.std_err = std_err
+        return self
 
 
 # --- exponent fitting and campaign orchestration ---
@@ -553,33 +558,28 @@ def run_ladder(problem: TestProblem, channel, cls, config: SimConfig) -> SimRepo
     points = []
     for n in config.n_ladder:
         dm = channel if isinstance(channel, Dmmac) else None
-        scheme = build_scheme_for_class(
-            cls, dm, problem.p, config.cost_model, n, config.mu
-        )
+        scheme = build_scheme_for_class(cls, dm, problem.p, config.cost_model, n, config.mu)
         est = config.estimator
         if est == "exact":
             alpha, beta = exact_error_probs(problem, channel, scheme, n)
-            pt = LadderPoint(n, est, alpha, alpha, alpha, beta, beta, beta, 0.0)
-        elif est == "direct":
-            r = run_trials(
-                problem, channel, scheme, n, config.trials,
-                (config.master_seed, n, 0), workers=config.workers,
-            )
+            points.append(LadderPoint(n, est, alpha, alpha, alpha, beta, beta, beta, 0.0))
+            continue
+        r = run_trials(
+            problem, channel, scheme, n, config.trials, (config.master_seed, n, 0),
+            workers=config.workers, sides=("null", "alt") if est == "direct" else ("null",),
+        )
+        if est == "direct":
             pt = LadderPoint(
                 n, est, r.alpha_hat, r.alpha_lo, r.alpha_hi,
                 r.beta_hat, r.beta_lo, r.beta_hi,
             )
         else:
-            r = run_trials(
-                problem, channel, scheme, n, config.trials,
-                (config.master_seed, n, 0), workers=config.workers,
-                sides=("null",),
-            )
-            beta_hat, variance = importance_sample_beta(
+            beta = importance_sample_beta(
                 problem, channel, scheme, n, config.trials,
                 seed=(config.master_seed, n, 1), workers=config.workers,
             )
-            half = _WILSON_Z * math.sqrt(variance)
+            beta_hat, variance = beta
+            half = _WILSON_Z * beta.std_err
             pt = LadderPoint(
                 n, est, r.alpha_hat, r.alpha_lo, r.alpha_hi,
                 beta_hat, max(0.0, beta_hat - half), min(1.0, beta_hat + half),

@@ -175,6 +175,11 @@ class TestSampling:
         # cdf boundary belongs to the next symbol
         assert quantile_map(probs, np.array([0.5]))[0] == 1
         assert quantile_map(probs, np.array([0.9999]))[0] == 1
+        assert quantile_map(probs, 0.75) == 1
+        # a cdf that stops short of 1 clips to the last symbol
+        out = quantile_map(np.array([0.3, 0.3]), np.array([[0.1, 0.9], [0.5, 0.2]]))
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, [[0, 1], [1, 0]])
 
     def test_require_length(self):
         out = require_length([1, 2, 3], 3)

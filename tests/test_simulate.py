@@ -1,18 +1,21 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steinmac.channels import BudgetLaw, ChannelClass, CostModel, Dmmac
+from steinmac.channels import BudgetLaw, ChannelClass, CostModel, Dmmac, GgMac
 from steinmac.errors import (
     AbsoluteContinuityViolation,
     DegenerateFit,
     InstanceTooLarge,
     ZeroTiltOnSupport,
 )
-from steinmac.prob import Joint3Pmf, Pmf, marginal
+from steinmac.prob import Joint3Pmf, Pmf, marginal, quantile_map
 from steinmac.schemes import build_local_scheme, build_scheme_for_class, class_exponent
 from steinmac.simulate import (
     SimConfig,
@@ -26,6 +29,7 @@ from steinmac.simulate import (
     run_trials,
     wilson_interval,
 )
+from steinmac.simulate import _batch_accept, _cell_counts, _source_counts
 
 # Joint source and sparse channel pair whose exact error probabilities were
 # computed once by brute enumeration of all 8^8 trajectory tables and then
@@ -55,6 +59,58 @@ def sparse_fixture(n=8):
     cm = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
     scheme = build_scheme_for_class(ChannelClass.SPARSE, ch, P_JOINT, cm, n, 0.2)
     return problem, ch, cm, scheme
+
+
+def fading_channel(s1_states, s2_states):
+    """y = s1 x1 + s2 x2 + z over inputs {-1, 1}, fair states and z in {0, 1}:
+    a deterministic gain keeps that sensor's toggle, a random one loses it."""
+    k = np.zeros((2, 2, 6))
+    for i, x1 in enumerate((-1, 1)):
+        for j, x2 in enumerate((-1, 1)):
+            for s1 in s1_states:
+                for s2 in s2_states:
+                    for z in (0, 1):
+                        k[i, j, s1 * x1 + s2 * x2 + z + 2] += 1.0 / (
+                            len(s1_states) * len(s2_states) * 2
+                        )
+    return Dmmac(k)
+
+
+# one channel of each class; the full class runs the local scheme
+CLASS_CHANNELS = {
+    ChannelClass.SPARSE: sparse_channel(),
+    ChannelClass.SPARSE_FULL: fading_channel((1,), (-1, 1)),
+    ChannelClass.FULL_SPARSE: fading_channel((-1, 1), (1,)),
+    ChannelClass.FULL: None,
+}
+
+
+def class_fixture(cls, p, q, n, mu):
+    ch = CLASS_CHANNELS[cls]
+    cm = CostModel.unit(2, 2, BudgetLaw.power(2.0, 0.5))
+    scheme = build_scheme_for_class(cls, ch, p, cm, n, mu)
+    return TestProblem(Joint3Pmf(p), Joint3Pmf(q)), ch, scheme
+
+
+def per_sequence_accepts(joint, channel, scheme, u_src, u_marker):
+    """The batch rule's reference, one trial at a time: encode each sensor's
+    sequence, draw the channel output in every marker slot from the kernel
+    row of that slot's inputs, and run Scheme.decide. Slots the rule never
+    reads hold -1, which is no output symbol."""
+    sensors = [s for s, on in ((1, scheme.signals1), (2, scheme.signals2)) if on]
+    out = []
+    for i in range(u_src.shape[0]):
+        cells = quantile_map(joint.probs.ravel(), u_src[i])
+        u1, u2, v = np.unravel_index(cells, joint.dims)
+        x1, x2 = scheme.encode1(u1), scheme.encode2(u2)
+        y = np.full(scheme.n, -1)
+        for sensor, u in zip(sensors, u_marker):
+            slots = range(scheme.n)[scheme._block(sensor)]
+            for slot, uu in zip(slots, u[i]):
+                row = channel.kernel[x1[slot], x2[slot]]
+                y[slot] = quantile_map(row, np.array([uu]))[0]
+        out.append(scheme.decide(y, v) == 0)
+    return np.array(out)
 
 
 def local_fixture(p_v, q_v, mu, n):
@@ -174,6 +230,44 @@ class TestDirectMonteCarlo:
         b = run_trials(problem, ch, scheme, 8, 3000, seed=5, workers=4)
         assert a == b
 
+    def test_marker_coupling_sums_to_one_when_equal(self):
+        problem, ch, _, scheme = sparse_fixture(n=12)
+        same = TestProblem(problem.p, problem.p)
+        r = run_trials(same, ch, scheme, 12, 5000, seed=3)
+        assert r.alpha_hat + r.beta_hat == 1.0
+
+    def test_local_scheme_draws_no_channel_output(self):
+        problem, scheme = local_fixture([0.5, 0.5], [0.3, 0.7], 0.2, 20)
+        a = run_trials(problem, None, scheme, 20, 3000, seed=4)
+        b = run_trials(problem, GgMac(2.0, 1.0, 1.0, 1.0), scheme, 20, 3000, seed=4)
+        assert a == b
+
+    def test_marker_scheme_needs_a_kernel(self):
+        problem, _, _, scheme = sparse_fixture()
+        with pytest.raises(TypeError, match="discrete"):
+            run_trials(problem, GgMac(2.0, 1.0, 1.0, 1.0), scheme, 8, 10, seed=0)
+
+    @pytest.mark.parametrize("n", [7, 800, 70_000])
+    def test_sliced_source_draws_match_one_draw(self, n):
+        probs = [P_JOINT.ravel(), Q_JOINT.ravel()]
+        sliced, whole = np.random.default_rng(12), np.random.default_rng(12)
+        got = _source_counts(probs, sliced, 300, n)
+        u = whole.random((300, n))
+        for counts, p in zip(got, probs):
+            np.testing.assert_array_equal(counts, _cell_counts(p, u))
+        assert sliced.random() == whole.random()
+
+    def test_block_memory_does_not_grow_with_n(self):
+        # a whole (2048, 800) block of uniforms and cell indices is 26 MB
+        problem, ch, _, scheme = sparse_fixture(n=800)
+        tracemalloc.start()
+        try:
+            run_trials(problem, ch, scheme, 800, 2048, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
     def test_argument_validation(self):
         problem, ch, _, scheme = sparse_fixture()
         with pytest.raises(ValueError, match="built for"):
@@ -182,6 +276,49 @@ class TestDirectMonteCarlo:
             run_trials(problem, ch, scheme, 8, 0, seed=0)
         with pytest.raises(ValueError, match="sides"):
             run_trials(problem, ch, scheme, 8, 10, seed=0, sides=("weird",))
+
+
+class TestBatchRule:
+    @pytest.mark.parametrize("cls", list(CLASS_CHANNELS), ids=lambda c: c.label)
+    def test_matches_per_sequence_rule(self, cls):
+        rng = np.random.default_rng(31)
+        trials = 300
+        outcomes = set()
+        for n, mu in ((8, 0.15), (12, 0.2), (16, 0.25)):
+            p = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
+            q = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
+            problem, ch, scheme = class_fixture(cls, p, q, n, mu)
+            u_src = rng.random((trials, n))
+            u_marker = [
+                rng.random((trials, scheme.k))
+                for _ in range(int(scheme.signals1) + int(scheme.signals2))
+            ]
+            for joint in (problem.p, problem.q):
+                counts = _cell_counts(joint.probs.ravel(), u_src)
+                batch = _batch_accept(joint, ch, scheme, counts, u_marker)
+                ref = per_sequence_accepts(joint, ch, scheme, u_src, u_marker)
+                np.testing.assert_array_equal(batch, ref)
+                outcomes.update(batch.tolist())
+        assert outcomes == {True, False}
+
+
+class TestDirectAgainstExactProperty:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(
+        cells=st.lists(st.floats(0.05, 1.0), min_size=16, max_size=16),
+        cls=st.sampled_from(list(CLASS_CHANNELS)),
+        n=st.integers(6, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_direct_within_four_se_of_exact(self, cells, cls, n, seed):
+        p = np.array(cells[:8]).reshape(2, 2, 2)
+        q = np.array(cells[8:]).reshape(2, 2, 2)
+        problem, ch, scheme = class_fixture(cls, p / p.sum(), q / q.sum(), n, 0.2)
+        alpha, beta = exact_error_probs(problem, ch, scheme, n)
+        trials = 4000
+        r = run_trials(problem, ch, scheme, n, trials, seed=seed)
+        for hat, truth in ((r.alpha_hat, alpha), (r.beta_hat, beta)):
+            assert abs(hat - truth) <= 4 * math.sqrt(truth * (1 - truth) / trials)
 
 
 class TestImportanceSampling:
@@ -226,6 +363,32 @@ class TestImportanceSampling:
         )
         assert beta_hat == pytest.approx(0.45**100, rel=1e-12)
         assert var == pytest.approx(0.0, abs=1e-250)
+
+    def test_std_err_is_root_of_variance(self):
+        problem, ch, _, scheme = sparse_fixture()
+        est = importance_sample_beta(problem, ch, scheme, 8, 3000, seed=19)
+        assert est.std_err == pytest.approx(math.sqrt(est[1]), rel=1e-12)
+
+    def test_interval_survives_variance_underflow(self):
+        # criterion-09 instance: beta(800) is near 1e-241, so its variance
+        # (near 1e-484) is below the smallest double while the SE is not
+        p = np.zeros((2, 2, 2))
+        p[1] = 0.25
+        q23 = np.array([[0.35, 0.15], [0.15, 0.35]])
+        problem = TestProblem(Joint3Pmf(p), Joint3Pmf(np.stack([0.5 * q23] * 2)))
+        adder = np.zeros((2, 2, 4))
+        for a in range(2):
+            for b in range(2):
+                adder[a, b, a + b : a + b + 2] = 0.5
+        config = SimConfig(
+            n_ladder=(800,), trials=4096, master_seed=7, mu=0.05,
+            cost_model=CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5)),
+            estimator="importance",
+        )
+        report = run_ladder(problem, Dmmac(adder), ChannelClass.SPARSE, config)
+        pt = report.points[0]
+        assert pt.beta_hat < 1e-200
+        assert pt.beta_lo < pt.beta_hat < pt.beta_hi
 
     def test_seed_required(self):
         problem, ch, _, scheme = sparse_fixture()
