@@ -32,9 +32,9 @@ from .channels import (
     load_dmmac,
 )
 from .errors import NoMarkers, ParseError, SteinmacError
-from .exponents import min_kl_fixed_marginals
-from .prob import Joint3Pmf, marginal
-from .schemes import class_exponent
+from .exponents import min_kl_fixed_marginals  # noqa: F401  (bench traces it by name)
+from .prob import Joint3Pmf
+from .schemes import class_exponent, class_projection
 from .simulate import SimConfig, TestProblem, run_ladder
 
 _SCHEME_CHOICES = ("auto", "local", "sparse", "sparse_full", "full_sparse")
@@ -195,15 +195,6 @@ def _parse_gg_mac(text: str) -> GgMac:
     return GgMac(p, sigma, h1, h2)
 
 
-def _pinned_axes(cls: ChannelClass) -> tuple:
-    return {
-        ChannelClass.FULL: (2,),
-        ChannelClass.SPARSE: (0, 1, 2),
-        ChannelClass.SPARSE_FULL: (0, 2),
-        ChannelClass.FULL_SPARSE: (1, 2),
-    }[cls]
-
-
 def cmd_classify(args) -> int:
     ch = load_dmmac(args.kernel)
     cls = classify(ch)
@@ -234,11 +225,8 @@ def cmd_exponent(args) -> int:
     else:
         _parse_gg_mac(args.gg)  # validated; a noisy additive channel never
         cls = ChannelClass.FULL  # loses an output, so only v is observable
-    theta = class_exponent(cls, problem.p, problem.q)
-    cons = {
-        axis: marginal(problem.p, axis) for axis in _pinned_axes(cls)
-    }
-    res = min_kl_fixed_marginals(problem.q.probs, cons)
+    res = class_projection(cls, problem.p, problem.q)
+    theta = class_exponent(cls, problem.p, problem.q, projection=res)
     print(f"exponent: {theta:.6f}")
     print(f"exponent_nats: {theta!r}")
     print("minimizer (u1 u2 v probability):")

@@ -66,7 +66,7 @@ class CostBudgetExceeded(SteinmacError):
 
 
 class InstanceTooLarge(SteinmacError):
-    """Exact enumeration would exceed the supported instance size."""
+    """The exact estimator's lattice of symbol counts would exceed its state cap."""
 
 
 class ZeroTiltOnSupport(SteinmacError, ValueError):

@@ -27,7 +27,7 @@ from .channels import (
     verify_markers,
 )
 from .errors import BlocklengthTooSmall, CostBudgetExceeded, MarkerMismatch
-from .exponents import local_stein_exponent, min_kl_fixed_marginals
+from .exponents import IProjectionResult, local_stein_exponent, min_kl_fixed_marginals
 from .prob import Joint3Pmf, Pmf, is_strongly_typical, marginal, require_length
 
 
@@ -115,25 +115,26 @@ class Scheme:
                 return 1
         return 0 if is_strongly_typical(v, self.ref_v, self.mu) else 1
 
-    def accept_prob_given_flags(self, t1: bool, t2: bool, t3: bool) -> float:
-        """P(decide 0) given which typicality checks pass.
+    def accept_weights(self, flags: dict) -> np.ndarray:
+        """P(decide 0) given the typicality flags of the axes the rule
+        reads, keyed by axis (0: u1, 1: u2, 2: v); flags of different axes
+        may be arrays that broadcast together.
 
-        Signaled markers are the only channel randomness the rule looks
-        at: an on-block misses the marker in all k slots with probability
-        (1 - p)^k, and an off-block can never produce it.
+        Every read flag must pass. Signaled markers are the only channel
+        randomness the rule looks at: an on-block misses the marker in all
+        k slots with probability (1 - p)^k, and an off-block can never
+        produce it.
         """
-        if not t3:
-            return 0.0
-        prob = 1.0
+        acc = np.where(flags[2], 1.0, 0.0)
         if self.signals1:
-            if not t1:
-                return 0.0
-            prob *= 1.0 - (1.0 - self.p_marker1) ** self.k
+            acc = acc * np.where(flags[0], 1.0 - (1.0 - self.p_marker1) ** self.k, 0.0)
         if self.signals2:
-            if not t2:
-                return 0.0
-            prob *= 1.0 - (1.0 - self.p_marker2) ** self.k
-        return prob
+            acc = acc * np.where(flags[1], 1.0 - (1.0 - self.p_marker2) ** self.k, 0.0)
+        return acc
+
+    def accept_prob_given_flags(self, t1: bool, t2: bool, t3: bool) -> float:
+        """P(decide 0) given which typicality checks pass."""
+        return float(self.accept_weights({0: t1, 1: t2, 2: t3}))
 
 
 def build_local_scheme(p_v, mu: float, n: int) -> Scheme:
@@ -309,24 +310,46 @@ def _check_worst_costs(
             )
 
 
-def class_exponent(cls: ChannelClass, p, q, tol: float = 1e-10) -> float:
-    """Type-2 exponent the class's scheme achieves against (p, q).
-
-    Full connectivity pins only the V marginal; each toggle a class adds
-    pins that sensor's marginal too, and the exponent is the divergence
-    from q to the nearest joint with the pinned marginals of p.
-    """
-    pa = _joint_array(p)
-    qa = _joint_array(q)
-    if cls is ChannelClass.FULL:
-        return local_stein_exponent(marginal(pa, 2), marginal(qa, 2))
-    axes = {
+def pinned_axes(cls: ChannelClass) -> tuple:
+    """Axes whose null marginal the class's scheme pins: the side
+    observation v (axis 2) always, and the observation of each sensor that
+    signals (axis 0 for sensor 1, axis 1 for sensor 2). These are the axes
+    the decision rule reads."""
+    return {
+        ChannelClass.FULL: (2,),
         ChannelClass.SPARSE: (0, 1, 2),
         ChannelClass.SPARSE_FULL: (0, 2),
         ChannelClass.FULL_SPARSE: (1, 2),
     }[cls]
-    cons = {axis: marginal(pa, axis) for axis in axes}
-    return min_kl_fixed_marginals(qa, cons, tol=tol).value
+
+
+def class_projection(cls: ChannelClass, p, q, tol: float = 1e-10) -> IProjectionResult:
+    """I-projection of q onto the joints that share p's marginals on the
+    class's pinned axes. Its minimizer is the source joint that dominates
+    the type-2 error."""
+    pa = _joint_array(p)
+    cons = {axis: marginal(pa, axis) for axis in pinned_axes(cls)}
+    return min_kl_fixed_marginals(_joint_array(q), cons, tol=tol)
+
+
+def class_exponent(
+    cls: ChannelClass, p, q, tol: float = 1e-10,
+    projection: IProjectionResult | None = None,
+) -> float:
+    """Type-2 exponent the class's scheme achieves against (p, q).
+
+    Full connectivity pins only the V marginal, where the exponent is the
+    closed form D(p_V || q_V); each toggle a class adds pins that sensor's
+    marginal too, and the exponent is the value of class_projection. A
+    caller that already holds that projection passes it, so nothing is
+    solved twice.
+    """
+    if cls is ChannelClass.FULL:
+        pa, qa = _joint_array(p), _joint_array(q)
+        return local_stein_exponent(marginal(pa, 2), marginal(qa, 2))
+    if projection is None:
+        projection = class_projection(cls, p, q, tol)
+    return projection.value
 
 
 # --- derandomization ---

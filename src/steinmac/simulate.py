@@ -4,9 +4,10 @@ Three estimators with one reproducibility contract:
 
 * direct Monte-Carlo, trial-coupled across hypotheses through shared
   uniforms, so identical P and Q give alpha + beta = 1 exactly;
-* exact enumeration over joint types of the axes the decision rule
-  actually reads, with multinomial weights and the closed-form marker
-  acceptance factor;
+* exact probabilities from a dynamic program over the symbol counts of
+  the axes the decision rule actually reads, times the closed-form marker
+  acceptance factor; InstanceTooLarge caps the count lattice at
+  _MAX_STATES states;
 * importance sampling of the type-2 error, tilted by the I-projection
   minimizer, which is the source type that dominates the error event.
 
@@ -18,13 +19,11 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channels import Dmmac, gg_sample  # noqa: F401  (bench traces it by name)
 from .errors import (
@@ -34,11 +33,11 @@ from .errors import (
 )
 from .exponents import min_kl_fixed_marginals
 from .prob import Joint3Pmf, quantile_map
-from .schemes import Scheme, build_scheme_for_class, class_exponent
+from .schemes import Scheme, build_scheme_for_class, class_exponent, pinned_axes
 
 _BLOCK = 2048
 _SLICE = 1 << 16  # source uniforms drawn and mapped at once within a block
-_MAX_COMPOSITIONS = 4_000_000
+_MAX_STATES = 4_000_000  # marginal-count lattice states of an exact run
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -104,7 +103,7 @@ class LadderPoint:
     beta_hat: float
     beta_lo: float
     beta_hi: float
-    beta_variance: float | None = None
+    beta_std_err: float | None = None
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,7 @@ def _read_flags(counts: np.ndarray, dims, scheme: Scheme) -> dict:
     per_axis = counts.reshape(-1, *dims)
     refs = _refs(scheme)
     flags = {}
-    for axis in _scheme_axes(scheme):
+    for axis in pinned_axes(scheme.cls):
         other = tuple(1 + a for a in range(3) if a != axis)
         flags[axis] = _typicality_flags(
             per_axis.sum(axis=other), refs[axis], scheme.mu, scheme.n
@@ -219,10 +218,6 @@ def _signallers(scheme: Scheme) -> list:
     if scheme.signals2:
         out.append((1, scheme.markers.sensor2))
     return out
-
-
-def _scheme_axes(scheme: Scheme) -> tuple:
-    return tuple(axis for axis, _ in _signallers(scheme)) + (2,)
 
 
 def _batch_accept(joint: Joint3Pmf, channel, scheme: Scheme, counts, u_marker):
@@ -305,33 +300,7 @@ def run_trials(
     return TrialEstimate(trials, a_hat, a_lo, a_hi, b_hat, b_lo, b_hi)
 
 
-# --- exact enumeration ---
-
-
-def _compositions(n: int, m: int) -> np.ndarray:
-    """All ways to split n items into m ordered nonnegative parts."""
-    if m == 1:
-        return np.array([[n]], dtype=np.int64)
-    total = math.comb(n + m - 1, m - 1)
-    if total > _MAX_COMPOSITIONS:
-        raise InstanceTooLarge(
-            f"{total} joint types exceed the {_MAX_COMPOSITIONS} enumeration cap"
-        )
-    bars = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(n + m - 1), m - 1)
-        ),
-        dtype=np.int64,
-        count=total * (m - 1),
-    ).reshape(total, m - 1)
-    # part j is the gap between bars j-1 and j, written in place: the
-    # enumeration is the largest allocation of an exact run
-    comps = np.empty((total, m), dtype=np.int64)
-    comps[:, 0] = bars[:, 0]
-    np.subtract(bars[:, 1:], bars[:, :-1], out=comps[:, 1:-1])
-    comps[:, 1:-1] -= 1
-    np.subtract(n + m - 2, bars[:, -1], out=comps[:, -1])
-    return comps
+# --- exact error probabilities ---
 
 
 def _typicality_flags(counts: np.ndarray, ref, mu: float, n: int) -> np.ndarray:
@@ -342,42 +311,77 @@ def _typicality_flags(counts: np.ndarray, ref, mu: float, n: int) -> np.ndarray:
 
 
 def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
-    """P(decide 0) when the source triple is iid from `joint`, summing the
-    multinomial weight of every joint type of the axes the rule reads."""
-    axes = _scheme_axes(scheme)
+    """P(decide 0) when the source triple is iid from `joint`.
+
+    The rule reads only the symbol counts of each read axis, so this is a
+    dynamic program over the lattice of those counts: one dimension per
+    symbol of each read axis except its likeliest reference symbol, whose
+    count follows from n. Each of the n steps adds, for every cell of the
+    support, the cell's probability times the lattice shifted by the
+    cell's symbols. Counts only grow, so a count above the largest one the
+    typicality box allows is dropped for good, and a reference symbol of
+    probability zero keeps a dimension of size one. Each step rescales
+    the lattice by a power of two, which loses no precision, so no state
+    underflows while pruning drains the mass.
+    """
+    axes = pinned_axes(scheme.cls)
     drop = tuple(a for a in range(3) if a not in axes)
     reduced = joint.probs.sum(axis=drop) if drop else joint.probs
-    flat = reduced.ravel()
-    support = np.flatnonzero(flat > 0)
-    n = scheme.n
-    comps = _compositions(n, support.size)
-    log_fact = gammaln(np.arange(1, n + 2))  # log k! at index k
-    logw = log_fact[n] - log_fact[comps].sum(axis=1) + comps @ np.log(flat[support])
-    weights = np.exp(logw)
-
-    cell_axis_symbol = np.unravel_index(support, reduced.shape)
     refs = _refs(scheme)
+    n, mu = scheme.n, scheme.mu
+
+    free, dim_of, caps = [], [], []  # per read axis; caps per lattice dim
+    for axis in axes:
+        ref = refs[axis].probs
+        free.append(int(np.argmax(ref)))
+        dim_of.append({})
+        for s in range(ref.size):
+            if s != free[-1]:
+                dim_of[-1][s] = len(caps)
+                # +1 absorbs rounding: the flags below decide the boundary
+                caps.append(min(n, int(n * (ref[s] + mu)) + 1) if ref[s] > 0 else 0)
+    states = math.prod(c + 1 for c in caps)
+    if states > _MAX_STATES:
+        raise InstanceTooLarge(
+            f"{states} marginal-count states exceed the {_MAX_STATES} cap"
+        )
+
+    moves = [  # (cell probability, lattice dims the cell's symbols raise)
+        (float(reduced[cell]), {d[s] for d, s in zip(dim_of, cell) if s in d})
+        for cell in zip(*np.nonzero(reduced))
+    ]
+    lat = np.zeros([c + 1 for c in caps])
+    lat[(0,) * lat.ndim] = 1.0
+    nxt = np.zeros_like(lat)
+    exp2 = 0  # lat times 2**exp2 is the probability of each count vector
+    for t in range(n):
+        # before this step no count exceeds t, so only [0, min(t+1, cap)]
+        # of each dimension can be reached after it
+        top = [min(t + 1, c) + 1 for c in caps]
+        out = nxt[(*(slice(0, h) for h in top), ...)]  # a view, even at 0-d
+        out.fill(0.0)
+        for p, dims in moves:
+            dst = tuple(slice(int(d in dims), h) for d, h in enumerate(top))
+            src = tuple(slice(0, h - int(d in dims)) for d, h in enumerate(top))
+            out[dst] += p * lat[src]
+        peak = out.max()
+        if peak == 0.0:
+            return 0.0
+        e = max(math.frexp(peak)[1], -1000)  # keeps 2.0 ** -e finite
+        out *= 2.0 ** -e
+        exp2 += e
+        lat, nxt = nxt, lat
+
+    grid = np.ix_(*(np.arange(size) for size in lat.shape))  # count per dim
     flags = {}
-    for pos, axis in enumerate(axes):
-        size = reduced.shape[pos]
-        onehot = np.zeros((support.size, size))
-        onehot[np.arange(support.size), cell_axis_symbol[pos]] = 1.0
-        counts = comps @ onehot
-        flags[axis] = _typicality_flags(counts, refs[axis], scheme.mu, n)
-
-    return float(weights @ _accept_weights(flags, scheme))
-
-
-def _accept_weights(flags: dict, scheme: Scheme) -> np.ndarray:
-    """P(decide 0) given the read axes' typicality flags: every flag must
-    pass, and each signalled on-block shows its marker in one of k slots
-    unless all k miss, which has probability (1 - p)^k."""
-    acc = flags[2].astype(float)
-    if scheme.signals1:
-        acc *= np.where(flags[0], 1.0 - (1.0 - scheme.p_marker1) ** scheme.k, 0.0)
-    if scheme.signals2:
-        acc *= np.where(flags[1], 1.0 - (1.0 - scheme.p_marker2) ** scheme.k, 0.0)
-    return acc
+    for axis, f, dims in zip(axes, free, dim_of):
+        cols = [grid[dims[s]] if s in dims else 0 for s in range(refs[axis].probs.size)]
+        cols[f] = n - sum(grid[d] for d in dims.values())
+        cols = np.broadcast_arrays(*cols)
+        counts = np.stack(cols, axis=-1).reshape(-1, len(cols))
+        flags[axis] = _typicality_flags(counts, refs[axis], mu, n).reshape(cols[0].shape)
+    total = float(np.sum(lat * scheme.accept_weights(flags)))
+    return math.ldexp(total, exp2)
 
 
 def exact_error_probs(problem: TestProblem, channel, scheme: Scheme, n: int) -> tuple:
@@ -402,7 +406,7 @@ def default_tilt(problem: TestProblem, scheme: Scheme) -> Joint3Pmf:
     """I-projection of Q onto the scheme's pinned marginals: the source
     distribution that dominates the type-2 error event."""
     refs = _refs(scheme)
-    cons = {axis: refs[axis] for axis in _scheme_axes(scheme)}
+    cons = {axis: refs[axis] for axis in pinned_axes(scheme.cls)}
     res = min_kl_fixed_marginals(problem.q.probs, cons)
     argmin = np.maximum(res.argmin, 0.0)
     return Joint3Pmf(argmin / argmin.sum())
@@ -419,7 +423,7 @@ def _check_tilt(problem: TestProblem, scheme: Scheme, tilt: Joint3Pmf) -> None:
     refs = _refs(scheme)
     for cell in zip(*np.nonzero((ta == 0) & (qa > 0))):
         cell = tuple(int(i) for i in cell)
-        if not any(refs[axis].probs[cell[axis]] == 0 for axis in _scheme_axes(scheme)):
+        if not any(refs[axis].probs[cell[axis]] == 0 for axis in pinned_axes(scheme.cls)):
             raise ZeroTiltOnSupport(
                 f"tilt is zero at cell {cell} where Q is positive and "
                 "acceptance is possible"
@@ -431,7 +435,7 @@ def _is_block(problem, scheme, tilt_flat, log_ratio, seed_seq, count):
     the contributions and of their squares scaled by exp(-hi), exp(-2 hi)."""
     rng = np.random.default_rng(seed_seq)
     (counts,) = _source_counts([tilt_flat], rng, count, scheme.n)
-    acc = _accept_weights(_read_flags(counts, problem.q.dims, scheme), scheme)
+    acc = scheme.accept_weights(_read_flags(counts, problem.q.dims, scheme))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         contrib = counts @ log_ratio + np.log(acc)
@@ -578,12 +582,12 @@ def run_ladder(problem: TestProblem, channel, cls, config: SimConfig) -> SimRepo
                 problem, channel, scheme, n, config.trials,
                 seed=(config.master_seed, n, 1), workers=config.workers,
             )
-            beta_hat, variance = beta
+            beta_hat = beta[0]
             half = _WILSON_Z * beta.std_err
             pt = LadderPoint(
                 n, est, r.alpha_hat, r.alpha_lo, r.alpha_hi,
                 beta_hat, max(0.0, beta_hat - half), min(1.0, beta_hat + half),
-                variance,
+                beta.std_err,
             )
         points.append(pt)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import steinmac
+from steinmac import cli, schemes
 from steinmac.cli import load_config, load_problem, main
 from steinmac.errors import ParseError
 
@@ -143,6 +144,22 @@ class TestExponent:
         rows = [line.split() for line in lines[3:]]
         v_mass = sum(float(r[3]) for r in rows if r[2] == "0")
         assert v_mass == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("channel", ["adder.kernel", "full.kernel", None])
+    def test_solves_one_projection(self, run, workdir, monkeypatch, channel):
+        solves = []
+        solve = steinmac.min_kl_fixed_marginals
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        for module in (cli, schemes):
+            monkeypatch.setattr(module, "min_kl_fixed_marginals", counted)
+        tail = ["--gg", "2,1,1,1"] if channel is None else ["--channel", str(workdir / channel)]
+        code, _, _ = run("exponent", str(workdir / "uniform.problem"), *tail)
+        assert code == 0
+        assert len(solves) == 1
 
     def test_bad_gg_argument(self, run, workdir):
         code, _, err = run(

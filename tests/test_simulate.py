@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import tracemalloc
 
@@ -16,7 +17,13 @@ from steinmac.errors import (
     ZeroTiltOnSupport,
 )
 from steinmac.prob import Joint3Pmf, Pmf, marginal, quantile_map
-from steinmac.schemes import build_local_scheme, build_scheme_for_class, class_exponent
+from steinmac.schemes import (
+    Scheme,
+    build_local_scheme,
+    build_scheme_for_class,
+    class_exponent,
+    pinned_axes,
+)
 from steinmac.simulate import (
     SimConfig,
     SimReport,
@@ -29,7 +36,13 @@ from steinmac.simulate import (
     run_trials,
     wilson_interval,
 )
-from steinmac.simulate import _batch_accept, _cell_counts, _source_counts
+from steinmac.simulate import (
+    _batch_accept,
+    _cell_counts,
+    _exact_accept_prob,
+    _source_counts,
+    _typicality_flags,
+)
 
 # Joint source and sparse channel pair whose exact error probabilities were
 # computed once by brute enumeration of all 8^8 trajectory tables and then
@@ -199,6 +212,103 @@ class TestExactEnumeration:
         problem, ch, _, scheme = sparse_fixture()
         with pytest.raises(ValueError, match="built for"):
             exact_error_probs(problem, ch, scheme, 9)
+
+
+def criterion09_fixture():
+    """Acceptance criterion 09's instance: under the null u1 is always 1 and
+    (u2, v) is uniform; the alternative makes u1 uniform and correlates
+    (u2, v). The adder channel gives both sensors a marker."""
+    p = np.zeros((2, 2, 2))
+    p[1] = 0.25
+    q23 = np.array([[0.35, 0.15], [0.15, 0.35]])
+    problem = TestProblem(Joint3Pmf(p), Joint3Pmf(np.stack([0.5 * q23] * 2)))
+    adder = np.zeros((2, 2, 4))
+    for a in range(2):
+        for b in range(2):
+            adder[a, b, a + b : a + b + 2] = 0.5
+    cm = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
+    return problem, Dmmac(adder), cm
+
+
+def enumerated_accept_prob(joint, scheme):
+    """P(decide 0) by brute force over the joint types of the read axes:
+    every multiset of n support cells, its multinomial weight, the
+    typicality flag of each read axis and the marker factor."""
+    n, axes = scheme.n, pinned_axes(scheme.cls)
+    reduced = joint.sum(axis=tuple(a for a in range(3) if a not in axes))
+    support = np.flatnonzero(reduced)
+    probs = reduced.ravel()[support]
+    symbols = np.unravel_index(support, reduced.shape)
+    combos = np.array(
+        list(itertools.combinations_with_replacement(range(support.size), n))
+    )
+    counts = np.zeros((len(combos), support.size), dtype=np.int64)
+    for col in combos.T:
+        counts[np.arange(len(combos)), col] += 1
+    fact = np.array([math.factorial(i) for i in range(n + 1)], dtype=float)
+    weights = fact[n] / fact[counts].prod(axis=1) * (probs**counts).prod(axis=1)
+    refs = {0: scheme.ref_u1, 1: scheme.ref_u2, 2: scheme.ref_v}
+    acc = np.ones(len(combos))
+    for pos, axis in enumerate(axes):
+        onehot = np.eye(reduced.shape[pos], dtype=np.int64)[symbols[pos]]
+        acc *= _typicality_flags(counts @ onehot, refs[axis], scheme.mu, n)
+    for on, p_marker in ((scheme.signals1, scheme.p_marker1),
+                         (scheme.signals2, scheme.p_marker2)):
+        if on:
+            acc *= 1.0 - (1.0 - p_marker) ** scheme.k
+    return float(weights @ acc)
+
+
+class TestExactDpProperty:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_joint_type_enumeration(self, data):
+        dims = tuple(data.draw(st.integers(1, d)) for d in (3, 3, 2))
+        weight = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+
+        def pmf(size):
+            w = np.array(data.draw(st.lists(weight, min_size=size, max_size=size)))
+            if w.sum() == 0:
+                w[data.draw(st.integers(0, size - 1))] = 1.0
+            return w / w.sum()
+
+        joint = pmf(math.prod(dims)).reshape(dims)
+        ref_u1, ref_u2, ref_v = (Pmf(pmf(d)) for d in dims)
+        scheme = Scheme(
+            cls=data.draw(st.sampled_from(list(ChannelClass))),
+            n=data.draw(st.integers(1, 7)),
+            k=data.draw(st.integers(1, 3)),
+            mu=data.draw(st.floats(0.05, 0.6)),
+            ref_v=ref_v, ref_u1=ref_u1, ref_u2=ref_u2,
+            p_marker1=data.draw(st.floats(0.05, 1.0)),
+            p_marker2=data.draw(st.floats(0.05, 1.0)),
+        )
+        got = _exact_accept_prob(Joint3Pmf(joint), scheme)
+        assert got == pytest.approx(enumerated_accept_prob(joint, scheme), abs=1e-12)
+
+
+class TestExactAtLadderScale:
+    def test_importance_within_four_sigma_of_exact(self):
+        problem, ch, cm = criterion09_fixture()
+        base = dict(n_ladder=(100, 200), trials=8192, master_seed=7, mu=0.05,
+                    cost_model=cm)
+        exact = run_ladder(problem, ch, ChannelClass.SPARSE,
+                           SimConfig(**base, estimator="exact"))
+        sampled = run_ladder(problem, ch, ChannelClass.SPARSE,
+                             SimConfig(**base, estimator="importance"))
+        for ex, pt in zip(exact.points, sampled.points):
+            assert 0 < ex.beta_hat < 1e-30
+            assert abs(pt.beta_hat - ex.beta_hat) <= 4 * pt.beta_std_err
+
+    def test_std_err_survives_variance_underflow(self):
+        problem, ch, cm = criterion09_fixture()
+        config = SimConfig(
+            n_ladder=(800,), trials=4096, master_seed=7, mu=0.05,
+            cost_model=cm, estimator="importance",
+        )
+        pt = run_ladder(problem, ch, ChannelClass.SPARSE, config).points[0]
+        assert pt.beta_hat < 1e-200
+        assert pt.beta_std_err > 0
 
 
 class TestDirectMonteCarlo:
@@ -482,7 +592,7 @@ class TestRunLadder:
         for pt in report.points:
             assert pt.alpha_lo == pt.alpha_hat == pt.alpha_hi
             assert pt.beta_lo == pt.beta_hat == pt.beta_hi
-            assert pt.beta_variance == 0.0
+            assert pt.beta_std_err == 0.0
         assert report.fitted_exponent is not None
         assert report.theoretical_exponent == pytest.approx(
             class_exponent(ChannelClass.SPARSE, P_JOINT, Q_JOINT), abs=1e-12
@@ -539,7 +649,7 @@ class TestRunLadder:
         )
         report = run_ladder(problem, ch, ChannelClass.SPARSE, config)
         for pt in report.points:
-            assert pt.beta_variance is not None and pt.beta_variance > 0
+            assert pt.beta_std_err is not None and pt.beta_std_err > 0
             assert pt.beta_lo <= pt.beta_hat <= pt.beta_hi
             assert 0.0 <= pt.alpha_hat <= 1.0
 
