@@ -47,6 +47,21 @@ class ChannelClass(enum.Enum):
     def label(self) -> str:
         return self.value
 
+    @property
+    def signalling(self) -> tuple:
+        """Sensors that can toggle an output in this class, in slot order:
+        each spends one block of k marker symbols, and the scheme reads its
+        observation's marginal."""
+        return _SIGNALLING[self]
+
+
+_SIGNALLING = {
+    ChannelClass.FULL: (),
+    ChannelClass.SPARSE: (1, 2),
+    ChannelClass.SPARSE_FULL: (1,),
+    ChannelClass.FULL_SPARSE: (2,),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class Dmmac:
@@ -108,15 +123,8 @@ def toggle_predicate(ch: Dmmac, sensor: int) -> bool:
 
 def classify(ch: Dmmac) -> ChannelClass:
     pruned = prune_unreachable_outputs(ch)
-    a1 = toggle_predicate(pruned, 1)
-    a2 = toggle_predicate(pruned, 2)
-    if a1 and a2:
-        return ChannelClass.SPARSE
-    if a1:
-        return ChannelClass.SPARSE_FULL
-    if a2:
-        return ChannelClass.FULL_SPARSE
-    return ChannelClass.FULL
+    toggles = tuple(s for s in (1, 2) if toggle_predicate(pruned, s))
+    return next(c for c in ChannelClass if c.signalling == toggles)
 
 
 @dataclass(frozen=True)
@@ -132,21 +140,23 @@ class ToggleWitness:
     partner_pilot: int
     marker_output: int
 
+    @staticmethod
+    def inputs(sensor: int, own: int, partner: int) -> tuple:
+        """Kernel input pair (x1, x2) when the sensor sends `own` and its
+        partner sends `partner`."""
+        return (own, partner) if sensor == 1 else (partner, own)
+
+    def row(self, ch: Dmmac, sensor: int, own: int) -> np.ndarray:
+        """Output pmf when the sensor sends `own` against the pilot."""
+        return ch.kernel[self.inputs(sensor, own, self.partner_pilot)]
+
     def holds_for(self, ch: Dmmac, sensor: int) -> bool:
-        k = ch.kernel
-        if sensor == 1:
-            off = k[self.off_input, self.partner_pilot, self.marker_output]
-            on = k[self.on_input, self.partner_pilot, self.marker_output]
-        else:
-            off = k[self.partner_pilot, self.off_input, self.marker_output]
-            on = k[self.partner_pilot, self.on_input, self.marker_output]
+        off = self.row(ch, sensor, self.off_input)[self.marker_output]
+        on = self.row(ch, sensor, self.on_input)[self.marker_output]
         return off == 0 and on > 0
 
     def marker_prob(self, ch: Dmmac, sensor: int) -> float:
-        k = ch.kernel
-        if sensor == 1:
-            return float(k[self.on_input, self.partner_pilot, self.marker_output])
-        return float(k[self.partner_pilot, self.on_input, self.marker_output])
+        return float(self.row(ch, sensor, self.on_input)[self.marker_output])
 
 
 @dataclass(frozen=True)
@@ -156,50 +166,42 @@ class MarkerSet:
     sensor1: ToggleWitness | None
     sensor2: ToggleWitness | None
 
+    def witness(self, sensor: int) -> ToggleWitness | None:
+        return self.sensor1 if sensor == 1 else self.sensor2
+
 
 def _first_witness(ch: Dmmac, sensor: int) -> ToggleWitness | None:
     # scan outputs first: the witness is "the first output some input of
     # this sensor can switch off", then pilot, then the off/on inputs
     k = ch.kernel
-    n_own = k.shape[0] if sensor == 1 else k.shape[1]
-    n_partner = k.shape[1] if sensor == 1 else k.shape[0]
-    n_out = k.shape[2]
-
-    def entry(own, partner, y):
-        return k[own, partner, y] if sensor == 1 else k[partner, own, y]
-
-    for y in range(n_out):
+    n_own, n_partner = k.shape[sensor - 1], k.shape[2 - sensor]
+    for y in range(k.shape[2]):
         for pilot in range(n_partner):
-            for off in range(n_own):
-                if entry(off, pilot, y) != 0:
-                    continue
-                for on in range(n_own):
-                    if entry(on, pilot, y) > 0:
-                        return ToggleWitness(off, on, pilot, y)
+            col = [k[ToggleWitness.inputs(sensor, x, pilot)][y] for x in range(n_own)]
+            off = next((x for x, v in enumerate(col) if v == 0), None)
+            on = next((x for x, v in enumerate(col) if v > 0), None)
+            if off is not None and on is not None:
+                return ToggleWitness(off, on, pilot, y)
     return None
 
 
 def find_markers(ch: Dmmac, cls: ChannelClass) -> MarkerSet:
     """First witnesses in lexicographic scan order for the class's sensors."""
-    if cls is ChannelClass.FULL:
-        raise NoMarkers("a fully connected channel admits no markers")
-    w1 = _first_witness(ch, 1) if cls in (ChannelClass.SPARSE, ChannelClass.SPARSE_FULL) else None
-    w2 = _first_witness(ch, 2) if cls in (ChannelClass.SPARSE, ChannelClass.FULL_SPARSE) else None
-    if cls is ChannelClass.SPARSE and (w1 is None or w2 is None):
-        raise NoMarkers("channel has no toggle witness for a required sensor")
-    if cls is ChannelClass.SPARSE_FULL and w1 is None:
-        raise NoMarkers("channel has no sensor-1 toggle witness")
-    if cls is ChannelClass.FULL_SPARSE and w2 is None:
-        raise NoMarkers("channel has no sensor-2 toggle witness")
-    return MarkerSet(w1, w2)
+    found = {s: _first_witness(ch, s) for s in cls.signalling}
+    if not found or None in found.values():
+        raise NoMarkers(
+            f"channel has no toggle witness for each signalling sensor of "
+            f"class {cls.label}"
+        )
+    return MarkerSet(found.get(1), found.get(2))
 
 
 def verify_markers(ch: Dmmac, markers: MarkerSet) -> None:
     """Re-check a marker set against a kernel; raises MarkerMismatch."""
-    if markers.sensor1 is not None and not markers.sensor1.holds_for(ch, 1):
-        raise MarkerMismatch("sensor-1 witness does not hold for this kernel")
-    if markers.sensor2 is not None and not markers.sensor2.holds_for(ch, 2):
-        raise MarkerMismatch("sensor-2 witness does not hold for this kernel")
+    for sensor in (1, 2):
+        w = markers.witness(sensor)
+        if w is not None and not w.holds_for(ch, sensor):
+            raise MarkerMismatch(f"sensor-{sensor} witness does not hold for this kernel")
 
 
 @dataclass(frozen=True)

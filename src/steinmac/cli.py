@@ -204,9 +204,8 @@ def cmd_classify(args) -> int:
     except NoMarkers:
         print("markers: none (every output stays reachable)")
         return 0
-    for sensor, w in ((1, markers.sensor1), (2, markers.sensor2)):
-        if w is None:
-            continue
+    for sensor in cls.signalling:
+        w = markers.witness(sensor)
         print(
             f"sensor {sensor} marker: off_input={w.off_input} "
             f"on_input={w.on_input} partner_pilot={w.partner_pilot} "

@@ -50,9 +50,9 @@ def _joint_array(p) -> np.ndarray:
 class Scheme:
     """A concrete encoder pair plus decision rule for one blocklength.
 
-    k is the signaling block length; sensors that signal use slots [0, k)
-    (sensor 1) and, when both signal, [k, 2k) (sensor 2); a lone sensor-2
-    signaler uses [0, k). Decision 0 accepts the null hypothesis.
+    k is the signaling block length; the i-th sensor of cls.signalling uses
+    slots [i k, (i + 1) k), so a lone signaller of either sensor uses [0, k).
+    Decision 0 accepts the null hypothesis.
     """
 
     cls: ChannelClass
@@ -69,49 +69,41 @@ class Scheme:
 
     @property
     def signals1(self) -> bool:
-        return self.cls in (ChannelClass.SPARSE, ChannelClass.SPARSE_FULL)
+        return 1 in self.cls.signalling
 
     @property
     def signals2(self) -> bool:
-        return self.cls in (ChannelClass.SPARSE, ChannelClass.FULL_SPARSE)
+        return 2 in self.cls.signalling
 
     def _block(self, sensor: int) -> slice:
-        if sensor == 1:
-            return slice(0, self.k)
-        start = self.k if self.signals1 else 0
+        start = self.k * self.cls.signalling.index(sensor)
         return slice(start, start + self.k)
 
-    def encode1(self, u1_seq) -> np.ndarray:
-        u1 = require_length(u1_seq, self.n, "sensor-1 observation")
+    def _encode(self, sensor: int, u_seq) -> np.ndarray:
+        u = require_length(u_seq, self.n, f"sensor-{sensor} observation")
         x = np.zeros(self.n, dtype=np.int64)
-        if self.signals1:
-            w = self.markers.sensor1
-            typical = is_strongly_typical(u1, self.ref_u1, self.mu)
-            x[self._block(1)] = w.on_input if typical else w.off_input
-        if self.signals2:
-            x[self._block(2)] = self.markers.sensor2.partner_pilot
+        for s in self.cls.signalling:
+            w = self.markers.witness(s)
+            if s != sensor:
+                x[self._block(s)] = w.partner_pilot
+            elif is_strongly_typical(u, self.ref_u1 if s == 1 else self.ref_u2, self.mu):
+                x[self._block(s)] = w.on_input
+            else:
+                x[self._block(s)] = w.off_input
         return x
 
+    def encode1(self, u1_seq) -> np.ndarray:
+        return self._encode(1, u1_seq)
+
     def encode2(self, u2_seq) -> np.ndarray:
-        u2 = require_length(u2_seq, self.n, "sensor-2 observation")
-        x = np.zeros(self.n, dtype=np.int64)
-        if self.signals2:
-            w = self.markers.sensor2
-            typical = is_strongly_typical(u2, self.ref_u2, self.mu)
-            x[self._block(2)] = w.on_input if typical else w.off_input
-        if self.signals1:
-            x[self._block(1)] = self.markers.sensor1.partner_pilot
-        return x
+        return self._encode(2, u2_seq)
 
     def decide(self, y_seq, v_seq) -> int:
         """0 accepts the null, 1 rejects."""
         y = require_length(y_seq, self.n, "channel output")
         v = require_length(v_seq, self.n, "side observation")
-        if self.signals1:
-            if not np.any(y[self._block(1)] == self.markers.sensor1.marker_output):
-                return 1
-        if self.signals2:
-            if not np.any(y[self._block(2)] == self.markers.sensor2.marker_output):
+        for s in self.cls.signalling:
+            if not np.any(y[self._block(s)] == self.markers.witness(s).marker_output):
                 return 1
         return 0 if is_strongly_typical(v, self.ref_v, self.mu) else 1
 
@@ -126,15 +118,10 @@ class Scheme:
         produce it.
         """
         acc = np.where(flags[2], 1.0, 0.0)
-        if self.signals1:
-            acc = acc * np.where(flags[0], 1.0 - (1.0 - self.p_marker1) ** self.k, 0.0)
-        if self.signals2:
-            acc = acc * np.where(flags[1], 1.0 - (1.0 - self.p_marker2) ** self.k, 0.0)
+        for s in self.cls.signalling:
+            p = self.p_marker1 if s == 1 else self.p_marker2
+            acc = acc * np.where(flags[s - 1], 1.0 - (1.0 - p) ** self.k, 0.0)
         return acc
-
-    def accept_prob_given_flags(self, t1: bool, t2: bool, t3: bool) -> float:
-        """P(decide 0) given which typicality checks pass."""
-        return float(self.accept_weights({0: t1, 1: t2, 2: t3}))
 
 
 def build_local_scheme(p_v, mu: float, n: int) -> Scheme:
@@ -151,78 +138,45 @@ def build_local_scheme(p_v, mu: float, n: int) -> Scheme:
     )
 
 
-def build_sparse_scheme(
+def build_marker_scheme(
     ch: Dmmac, markers: MarkerSet, budget: CostBudget, mu: float, p_u1, p_u2, p_v
 ) -> Scheme:
-    """Both sensors signal: sensor 1 in slots [0, k), sensor 2 in [k, 2k),
-    each holding the other's witness pilot during the partner's block."""
-    _require_class(ch, ChannelClass.SPARSE)
-    if markers.sensor1 is None or markers.sensor2 is None:
-        raise MarkerMismatch("both sensors need a witness for this scheme")
+    """Each sensor that can toggle an output of ch signals in its own block
+    of k slots, sensor 1's block first, while the other sensor holds that
+    witness's pilot. The marginal of a sensor that does not signal is not
+    read and may be None."""
+    cls = classify(ch)
+    if not cls.signalling:
+        raise ValueError(
+            f"channel classifies as {cls.label}, a marker scheme needs a "
+            "sensor that can toggle"
+        )
+    return _marker_scheme(cls, ch, markers, budget, mu, p_u1, p_u2, p_v)
+
+
+def _marker_scheme(cls, ch, markers, budget, mu, p_u1, p_u2, p_v) -> Scheme:
+    """build_marker_scheme once ch is known to classify as cls."""
+    for s in cls.signalling:
+        if markers.witness(s) is None:
+            raise MarkerMismatch(f"scheme needs a sensor-{s} witness")
     verify_markers(ch, markers)
     _check_budget(budget)
     _check_n_mu(budget.n, mu)
-    w1, w2 = markers.sensor1, markers.sensor2
+    per_sensor = {}
+    for s, p_u in zip((1, 2), (p_u1, p_u2)):
+        if s in cls.signalling:
+            per_sensor[f"ref_u{s}"] = _as_pmf(p_u, f"p_u{s}")
+            per_sensor[f"p_marker{s}"] = markers.witness(s).marker_prob(ch, s)
     return Scheme(
-        cls=ChannelClass.SPARSE,
+        cls=cls,
         n=budget.n,
         k=budget.k,
         mu=mu,
         ref_v=_as_pmf(p_v, "p_v"),
-        ref_u1=_as_pmf(p_u1, "p_u1"),
-        ref_u2=_as_pmf(p_u2, "p_u2"),
-        markers=markers,
+        markers=MarkerSet(*(markers.witness(s) if s in cls.signalling else None
+                            for s in (1, 2))),
         budget=budget,
-        p_marker1=w1.marker_prob(ch, 1),
-        p_marker2=w2.marker_prob(ch, 2),
-    )
-
-
-def build_sparse_full_scheme(
-    ch: Dmmac, markers: MarkerSet, budget: CostBudget, mu: float, p_u1, p_v
-) -> Scheme:
-    """Only sensor 1 signals, in slots [0, k); sensor 2 holds the pilot."""
-    _require_class(ch, ChannelClass.SPARSE_FULL)
-    if markers.sensor1 is None:
-        raise MarkerMismatch("scheme needs a sensor-1 witness")
-    verify_markers(ch, markers)
-    _check_budget(budget)
-    _check_n_mu(budget.n, mu)
-    w1 = markers.sensor1
-    return Scheme(
-        cls=ChannelClass.SPARSE_FULL,
-        n=budget.n,
-        k=budget.k,
-        mu=mu,
-        ref_v=_as_pmf(p_v, "p_v"),
-        ref_u1=_as_pmf(p_u1, "p_u1"),
-        markers=MarkerSet(w1, None),
-        budget=budget,
-        p_marker1=w1.marker_prob(ch, 1),
-    )
-
-
-def build_full_sparse_scheme(
-    ch: Dmmac, markers: MarkerSet, budget: CostBudget, mu: float, p_u2, p_v
-) -> Scheme:
-    """Mirror image: only sensor 2 signals, in slots [0, k)."""
-    _require_class(ch, ChannelClass.FULL_SPARSE)
-    if markers.sensor2 is None:
-        raise MarkerMismatch("scheme needs a sensor-2 witness")
-    verify_markers(ch, markers)
-    _check_budget(budget)
-    _check_n_mu(budget.n, mu)
-    w2 = markers.sensor2
-    return Scheme(
-        cls=ChannelClass.FULL_SPARSE,
-        n=budget.n,
-        k=budget.k,
-        mu=mu,
-        ref_v=_as_pmf(p_v, "p_v"),
-        ref_u2=_as_pmf(p_u2, "p_u2"),
-        markers=MarkerSet(None, w2),
-        budget=budget,
-        p_marker2=w2.marker_prob(ch, 2),
+        **per_sensor,
     )
 
 
@@ -235,10 +189,10 @@ def build_scheme_for_class(
     mu: float,
 ) -> Scheme:
     """Convenience path used by the command line: derive markers, budget,
-    and reference marginals from a joint null distribution, then run the
-    class-appropriate builder. Also checks that the worst-case encoder
-    output actually fits the budget, since the marker symbols need not be
-    the cheapest ones the budget arithmetic assumed."""
+    and reference marginals from a joint null distribution, then build the
+    class's scheme. Also checks that the worst-case encoder output actually
+    fits the budget, since the marker symbols need not be the cheapest ones
+    the budget arithmetic assumed."""
     pa = _joint_array(p)
     p_u1, p_u2, p_v = (marginal(pa, axis) for axis in (0, 1, 2))
     if cls is ChannelClass.FULL:
@@ -251,19 +205,12 @@ def build_scheme_for_class(
     markers = find_markers(ch, cls)
     budget = cost_budget(cm, n)
     _check_worst_costs(cls, markers, budget.k, cm, n)
-    if cls is ChannelClass.SPARSE:
-        return build_sparse_scheme(ch, markers, budget, mu, p_u1, p_u2, p_v)
-    if cls is ChannelClass.SPARSE_FULL:
-        return build_sparse_full_scheme(ch, markers, budget, mu, p_u1, p_v)
-    return build_full_sparse_scheme(ch, markers, budget, mu, p_u2, p_v)
-
-
-def _require_class(ch: Dmmac, wanted: ChannelClass) -> None:
     got = classify(ch)
-    if got is not wanted:
+    if got is not cls:
         raise ValueError(
-            f"channel classifies as {got.label}, scheme needs {wanted.label}"
+            f"channel classifies as {got.label}, scheme needs {cls.label}"
         )
+    return _marker_scheme(cls, ch, markers, budget, mu, p_u1, p_u2, p_v)
 
 
 def _check_budget(budget: CostBudget) -> None:
@@ -292,35 +239,26 @@ def _check_costs_match(ch: Dmmac, cm: CostModel) -> None:
 def _check_worst_costs(
     cls: ChannelClass, markers: MarkerSet, k: int, cm: CostModel, n: int
 ) -> None:
-    c1, c2 = cm.costs(1), cm.costs(2)
-    w1, w2 = markers.sensor1, markers.sensor2
-    worst1 = worst2 = 0.0
-    if w1 is not None:
-        worst1 += k * max(c1[w1.off_input], c1[w1.on_input])
-        worst2 += k * c2[w1.partner_pilot]
-    if w2 is not None:
-        worst1 += k * c1[w2.partner_pilot]
-        worst2 += k * max(c2[w2.off_input], c2[w2.on_input])
-    for sensor, worst in ((1, worst1), (2, worst2)):
+    worst = {1: 0.0, 2: 0.0}
+    for s in cls.signalling:
+        w, partner = markers.witness(s), 3 - s
+        worst[s] += k * max(cm.costs(s)[w.off_input], cm.costs(s)[w.on_input])
+        worst[partner] += k * cm.costs(partner)[w.partner_pilot]
+    for sensor, cost in worst.items():
         budget = cm.gamma(sensor, n)
-        if worst > budget:
+        if cost > budget:
             raise CostBudgetExceeded(
-                f"sensor-{sensor} worst-case cost {worst:g} exceeds "
+                f"sensor-{sensor} worst-case cost {cost:g} exceeds "
                 f"budget {budget:g} at n={n}"
             )
 
 
 def pinned_axes(cls: ChannelClass) -> tuple:
-    """Axes whose null marginal the class's scheme pins: the side
-    observation v (axis 2) always, and the observation of each sensor that
-    signals (axis 0 for sensor 1, axis 1 for sensor 2). These are the axes
-    the decision rule reads."""
-    return {
-        ChannelClass.FULL: (2,),
-        ChannelClass.SPARSE: (0, 1, 2),
-        ChannelClass.SPARSE_FULL: (0, 2),
-        ChannelClass.FULL_SPARSE: (1, 2),
-    }[cls]
+    """Axes whose null marginal the class's scheme pins: the observation
+    of each sensor that signals (axis 0 for sensor 1, axis 1 for sensor 2)
+    and the side observation v (axis 2) always. These are the axes the
+    decision rule reads."""
+    return (*(s - 1 for s in cls.signalling), 2)
 
 
 def class_projection(cls: ChannelClass, p, q, tol: float = 1e-10) -> IProjectionResult:

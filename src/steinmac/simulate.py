@@ -7,7 +7,7 @@ Three estimators with one reproducibility contract:
 * exact probabilities from a dynamic program over the symbol counts of
   the axes the decision rule actually reads, times the closed-form marker
   acceptance factor; InstanceTooLarge caps the count lattice at
-  _MAX_STATES states;
+  _MAX_STATES states and its work at _MAX_STEP_STATES steps times states;
 * importance sampling of the type-2 error, tilted by the I-projection
   minimizer, which is the source type that dominates the error event.
 
@@ -38,6 +38,7 @@ from .schemes import Scheme, build_scheme_for_class, class_exponent, pinned_axes
 _BLOCK = 2048
 _SLICE = 1 << 16  # source uniforms drawn and mapped at once within a block
 _MAX_STATES = 4_000_000  # marginal-count lattice states of an exact run
+_MAX_STEP_STATES = 1_000_000_000  # n times those states: ~16 s on one core
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -210,16 +211,6 @@ def _read_flags(counts: np.ndarray, dims, scheme: Scheme) -> dict:
     return flags
 
 
-def _signallers(scheme: Scheme) -> list:
-    """(axis, witness) of every sensor that signals, in slot order."""
-    out = []
-    if scheme.signals1:
-        out.append((0, scheme.markers.sensor1))
-    if scheme.signals2:
-        out.append((1, scheme.markers.sensor2))
-    return out
-
-
 def _batch_accept(joint: Joint3Pmf, channel, scheme: Scheme, counts, u_marker):
     """Decide-0 of every trial: source joint-cell counts (trials, cells)
     from _cell_counts, and each signalling sensor's k marker-slot outputs
@@ -228,12 +219,12 @@ def _batch_accept(joint: Joint3Pmf, channel, scheme: Scheme, counts, u_marker):
     none is drawn."""
     flags = _read_flags(counts, joint.dims, scheme)
     accept = flags[2]
-    for (axis, w), u in zip(_signallers(scheme), u_marker):
-        shown = []  # marker in some slot if the sensor sends on, if it sends off
-        for x in (w.on_input, w.off_input):
-            row = channel.kernel[(x, w.partner_pilot) if axis == 0 else (w.partner_pilot, x)]
-            shown.append((quantile_map(row, u) == w.marker_output).any(axis=1))
-        accept = accept & np.where(flags[axis], *shown)
+    for sensor, u in zip(scheme.cls.signalling, u_marker):
+        w = scheme.markers.witness(sensor)
+        # marker in some slot if the sensor sends on, if it sends off
+        shown = [(quantile_map(w.row(channel, sensor, x), u) == w.marker_output).any(axis=1)
+                 for x in (w.on_input, w.off_input)]
+        accept = accept & np.where(flags[sensor - 1], *shown)
     return accept
 
 
@@ -244,7 +235,7 @@ def _direct_block(problem, channel, scheme, seed_seq, count, sides):
     counts = _source_counts([j.probs.ravel() for j in joints], rng, count, scheme.n)
     # the marker-slot uniforms are drawn before branching on the hypothesis,
     # so the two runs share them as well as the source uniforms
-    u_marker = [rng.random((count, scheme.k)) for _ in _signallers(scheme)]
+    u_marker = [rng.random((count, scheme.k)) for _ in scheme.cls.signalling]
     accepted = [int(_batch_accept(j, channel, scheme, c, u_marker).sum())
                 for j, c in zip(joints, counts)]
     rejects = count - accepted[0] if null else 0
@@ -287,7 +278,7 @@ def run_trials(
     bad = set(sides) - {"null", "alt"}
     if bad or not sides:
         raise ValueError(f"sides must be a nonempty subset of ('null','alt')")
-    if _signallers(scheme) and not isinstance(channel, Dmmac):
+    if scheme.cls.signalling and not isinstance(channel, Dmmac):
         raise TypeError("marker schemes need a discrete channel kernel")
     results = _map_blocks(trials, seed, workers, lambda seed_seq, count: _direct_block(
         problem, channel, scheme, seed_seq, count, sides
@@ -344,6 +335,11 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     if states > _MAX_STATES:
         raise InstanceTooLarge(
             f"{states} marginal-count states exceed the {_MAX_STATES} cap"
+        )
+    if n * states > _MAX_STEP_STATES:
+        raise InstanceTooLarge(
+            f"{n} steps over {states} marginal-count states exceed the "
+            f"{_MAX_STEP_STATES} step-state cap"
         )
 
     moves = [  # (cell probability, lattice dims the cell's symbols raise)

@@ -13,6 +13,7 @@ from steinmac.channels import (
     MarkerSet,
     ToggleWitness,
     admissible,
+    classify,
     cost_budget,
     find_markers,
 )
@@ -26,15 +27,14 @@ from steinmac.prob import Pmf, kl_divergence, marginal
 from steinmac.schemes import (
     RandomizedDecider,
     Scheme,
-    build_full_sparse_scheme,
     build_local_scheme,
+    build_marker_scheme,
     build_scheme_for_class,
-    build_sparse_full_scheme,
-    build_sparse_scheme,
     class_exponent,
     derandomize,
     gamma_schedule,
 )
+from steinmac.simulate import TestProblem, exact_error_probs
 
 
 def noisy_sparse_kernel():
@@ -172,23 +172,23 @@ class TestDecision:
 class TestAcceptProbGivenFlags:
     def test_sparse_products(self):
         s = hand_scheme(ChannelClass.SPARSE, k=1)
-        assert s.accept_prob_given_flags(True, True, True) == pytest.approx(
+        assert s.accept_weights({0: True, 1: True, 2: True}) == pytest.approx(
             0.6 * 0.3, abs=1e-15
         )
-        assert s.accept_prob_given_flags(False, True, True) == 0.0
-        assert s.accept_prob_given_flags(True, False, True) == 0.0
-        assert s.accept_prob_given_flags(True, True, False) == 0.0
+        assert s.accept_weights({0: False, 1: True, 2: True}) == 0.0
+        assert s.accept_weights({0: True, 1: False, 2: True}) == 0.0
+        assert s.accept_weights({0: True, 1: True, 2: False}) == 0.0
 
     def test_block_length_compounds(self):
         s = hand_scheme(ChannelClass.SPARSE_FULL, k=2)
-        assert s.accept_prob_given_flags(True, False, True) == pytest.approx(
+        assert s.accept_weights({0: True, 1: False, 2: True}) == pytest.approx(
             1 - 0.4**2, abs=1e-15
         )
 
     def test_local_is_indicator_of_t3(self):
         s = build_local_scheme(Pmf([0.5, 0.5]), 0.2, 10)
-        assert s.accept_prob_given_flags(False, False, True) == 1.0
-        assert s.accept_prob_given_flags(True, True, False) == 0.0
+        assert s.accept_weights({0: False, 1: False, 2: True}) == 1.0
+        assert s.accept_weights({0: True, 1: True, 2: False}) == 0.0
 
 
 class TestBuilders:
@@ -200,16 +200,17 @@ class TestBuilders:
         self.half = Pmf([0.5, 0.5])
 
     def test_sparse_happy_path(self):
-        s = build_sparse_scheme(
+        s = build_marker_scheme(
             self.ch, self.markers, self.budget, 0.2, self.half, self.half, self.half
         )
+        assert s.cls is ChannelClass.SPARSE
         assert s.n == 100 and s.k == 5
         assert s.p_marker1 == pytest.approx(0.6)
         assert s.p_marker2 == pytest.approx(0.6)
 
     def test_class_mismatch_rejected(self):
         with pytest.raises(ValueError, match="classifies as"):
-            build_sparse_scheme(
+            build_marker_scheme(
                 full_kernel(),
                 self.markers,
                 self.budget,
@@ -219,14 +220,15 @@ class TestBuilders:
                 self.half,
             )
         with pytest.raises(ValueError, match="classifies as"):
-            build_sparse_full_scheme(
-                self.ch, self.markers, self.budget, 0.2, self.half, self.half
+            build_scheme_for_class(
+                ChannelClass.SPARSE_FULL, self.ch, np.full((2, 2, 2), 0.125),
+                self.cm, 100, 0.2,
             )
 
     def test_missing_witness_rejected(self):
         lone = MarkerSet(self.markers.sensor1, None)
         with pytest.raises(MarkerMismatch):
-            build_sparse_scheme(
+            build_marker_scheme(
                 self.ch, lone, self.budget, 0.2, self.half, self.half, self.half
             )
 
@@ -236,19 +238,19 @@ class TestBuilders:
             self.markers.sensor2,
         )
         with pytest.raises(MarkerMismatch):
-            build_sparse_scheme(
+            build_marker_scheme(
                 self.ch, bad, self.budget, 0.2, self.half, self.half, self.half
             )
 
     def test_degenerate_budget_rejected(self):
         bad = CostBudget(n=100, k_max1=1, k_max2=1, tau_max=4, k=0)
         with pytest.raises(BlocklengthTooSmall):
-            build_sparse_scheme(
+            build_marker_scheme(
                 self.ch, self.markers, bad, 0.2, self.half, self.half, self.half
             )
         cramped = CostBudget(n=10, k_max1=10, k_max2=10, tau_max=40, k=5)
         with pytest.raises(BlocklengthTooSmall):
-            build_sparse_scheme(
+            build_marker_scheme(
                 self.ch, self.markers, cramped, 0.2, self.half, self.half, self.half
             )
 
@@ -257,7 +259,7 @@ class TestBuilders:
             with pytest.raises(ValueError, match="mu"):
                 build_local_scheme(self.half, mu, 10)
             with pytest.raises(ValueError, match="mu"):
-                build_sparse_scheme(
+                build_marker_scheme(
                     self.ch,
                     self.markers,
                     self.budget,
@@ -274,16 +276,18 @@ class TestBuilders:
         fs = _fading(rand, det)
         m_sf = find_markers(sf, ChannelClass.SPARSE_FULL)
         m_fs = find_markers(fs, ChannelClass.FULL_SPARSE)
-        s1 = build_sparse_full_scheme(
-            sf, m_sf, self.budget, 0.2, self.half, self.half
+        s1 = build_marker_scheme(
+            sf, m_sf, self.budget, 0.2, self.half, self.half, self.half
         )
+        assert s1.cls is ChannelClass.SPARSE_FULL
         assert s1.signals1 and not s1.signals2
-        assert s1.p_marker2 is None
-        s2 = build_full_sparse_scheme(
-            fs, m_fs, self.budget, 0.2, self.half, self.half
+        assert s1.p_marker2 is None and s1.ref_u2 is None
+        s2 = build_marker_scheme(
+            fs, m_fs, self.budget, 0.2, self.half, self.half, self.half
         )
+        assert s2.cls is ChannelClass.FULL_SPARSE
         assert s2.signals2 and not s2.signals1
-        assert s2.p_marker1 is None
+        assert s2.p_marker1 is None and s2.ref_u1 is None
 
 
 def _fading(s1_states, s2_states):
@@ -353,6 +357,53 @@ class TestBuildForClass:
         )
         assert s.k == 5
         assert np.allclose(s.ref_v.probs, marginal(self.p, 2).probs)
+
+
+class TestMirroredChannel:
+    """Transposing the kernel on (x1, x2) and the joints on (u1, u2) swaps
+    the sensors, so every per-sensor choice a scheme makes must swap too."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            _fading((1,), (-1, 1)).kernel,
+            _fading((-1, 1), (1,)).kernel,
+            noisy_sparse_kernel().kernel,
+        ],
+        ids=["sparse_full", "full_sparse", "sparse"],
+    )
+    def test_mirror_swaps_sensors(self, kernel):
+        rng = np.random.default_rng(11)
+        p, q = (x / x.sum() for x in rng.random((2, 2, 2, 2)))
+        cm = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
+        ch, mirror = Dmmac(kernel), Dmmac(kernel.transpose(1, 0, 2))
+        cls, cls_m = classify(ch), classify(mirror)
+        assert cls_m.signalling == tuple(sorted(3 - s for s in cls.signalling))
+        problem = TestProblem(p, q)
+        problem_m = TestProblem(p.transpose(1, 0, 2), q.transpose(1, 0, 2))
+        for n in (20, 60):
+            s = build_scheme_for_class(cls, ch, p, cm, n, 0.2)
+            m = build_scheme_for_class(cls_m, mirror, problem_m.p, cm, n, 0.2)
+            assert s.k == m.k
+            assert (s.p_marker1, s.p_marker2) == (m.p_marker2, m.p_marker1)
+            assert s.markers == MarkerSet(m.markers.sensor2, m.markers.sensor1)
+            k = s.k
+            # with two signallers the k-blocks trade places, else none moves
+            swap = np.r_[k:2 * k, 0:k, 2 * k:n] if len(cls.signalling) == 2 \
+                else np.arange(n)
+            for sensor in (1, 2):
+                encode = getattr(s, f"encode{sensor}")
+                encode_m = getattr(m, f"encode{3 - sensor}")
+                ref = marginal(p, sensor - 1).probs
+                typical = (np.arange(n) < round(n * ref[1])).astype(int)
+                atypical = np.zeros(n, dtype=int)
+                for u in (typical, atypical):
+                    assert np.array_equal(encode(u), encode_m(u)[swap])
+                if sensor in cls.signalling:  # both encoder branches ran
+                    assert not np.array_equal(encode(typical), encode(atypical))
+            a, b = exact_error_probs(problem, ch, s, n)
+            a_m, b_m = exact_error_probs(problem_m, mirror, m, n)
+            assert abs(a - a_m) <= 1e-12 and abs(b - b_m) <= 1e-12
 
 
 class TestEncoderAdmissibility:

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -207,6 +208,15 @@ class TestExactEnumeration:
         problem, scheme = local_fixture(p_v, p_v, 0.2, 1000)
         with pytest.raises(InstanceTooLarge):
             exact_error_probs(problem, None, scheme, 1000)
+
+    def test_step_states_capped(self):
+        # 400 002 lattice states pass the state cap, but 10**6 steps over
+        # them would run for hours; the refusal comes before any work
+        problem, scheme = local_fixture([0.8, 0.2], [0.8, 0.2], 0.2, 10**6)
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLarge, match="step-state"):
+            exact_error_probs(problem, None, scheme, 10**6)
+        assert time.perf_counter() - start < 1.0
 
     def test_blocklength_must_match_scheme(self):
         problem, ch, _, scheme = sparse_fixture()
