@@ -202,14 +202,14 @@ def build_scheme_for_class(
     if not isinstance(ch, Dmmac):
         raise TypeError("marker schemes need a discrete channel kernel")
     _check_costs_match(ch, cm)
-    markers = find_markers(ch, cls)
-    budget = cost_budget(cm, n)
-    _check_worst_costs(cls, markers, budget.k, cm, n)
     got = classify(ch)
     if got is not cls:
         raise ValueError(
             f"channel classifies as {got.label}, scheme needs {cls.label}"
         )
+    markers = find_markers(ch, cls)
+    budget = cost_budget(cm, n)
+    _check_worst_costs(cls, markers, budget.k, cm, n)
     return _marker_scheme(cls, ch, markers, budget, mu, p_u1, p_u2, p_v)
 
 

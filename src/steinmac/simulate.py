@@ -2,7 +2,8 @@
 
 Three estimators with one reproducibility contract:
 
-* direct Monte-Carlo, trial-coupled across hypotheses through shared
+* direct Monte-Carlo, trial-coupled across hypotheses: both draw their
+  joint-cell counts from one generator state and share the marker-slot
   uniforms, so identical P and Q give alpha + beta = 1 exactly;
 * exact probabilities from a dynamic program over the symbol counts of
   the axes the decision rule actually reads, times the closed-form marker
@@ -36,7 +37,6 @@ from .prob import Joint3Pmf, quantile_map
 from .schemes import Scheme, build_scheme_for_class, class_exponent, pinned_axes
 
 _BLOCK = 2048
-_SLICE = 1 << 16  # source uniforms drawn and mapped at once within a block
 _MAX_STATES = 4_000_000  # marginal-count lattice states of an exact run
 _MAX_STEP_STATES = 1_000_000_000  # n times those states: ~16 s on one core
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -175,29 +175,6 @@ def _refs(scheme: Scheme) -> dict:
     return {0: scheme.ref_u1, 1: scheme.ref_u2, 2: scheme.ref_v}
 
 
-def _cell_counts(probs_flat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Joint-cell counts of each row of uniforms mapped through the inverse
-    cdf of probs_flat, as one (rows, cells) array from a single bincount."""
-    rows, m = u.shape[0], probs_flat.size
-    cells = quantile_map(probs_flat, u)
-    cells += np.arange(0, rows * m, m)[:, None]
-    return np.bincount(cells.ravel(), minlength=rows * m).reshape(rows, m)
-
-
-def _source_counts(probs_flats, rng, count: int, n: int) -> list:
-    """Joint-cell counts (count, cells) under each pmf in probs_flats, from
-    the uniforms of one rng.random((count, n)) drawn a slice of rows at a
-    time: a block's memory does not grow with n, so peak memory no longer
-    depends on whether two pool threads hold whole blocks at once."""
-    step = max(1, _SLICE // n)
-    parts = [[] for _ in probs_flats]
-    for start in range(0, count, step):
-        u = rng.random((min(step, count - start), n))
-        for part, probs_flat in zip(parts, probs_flats):
-            part.append(_cell_counts(probs_flat, u))
-    return [np.concatenate(part) for part in parts]
-
-
 def _read_flags(counts: np.ndarray, dims, scheme: Scheme) -> dict:
     """Typicality flag of every axis the rule reads, per row of counts."""
     per_axis = counts.reshape(-1, *dims)
@@ -212,11 +189,11 @@ def _read_flags(counts: np.ndarray, dims, scheme: Scheme) -> dict:
 
 
 def _batch_accept(joint: Joint3Pmf, channel, scheme: Scheme, counts, u_marker):
-    """Decide-0 of every trial: source joint-cell counts (trials, cells)
-    from _cell_counts, and each signalling sensor's k marker-slot outputs
-    drawn from the kernel row of its on or off input and the partner's
-    pilot with u_marker[i] (trials, k). No other channel output is read, so
-    none is drawn."""
+    """Decide-0 of every trial: source joint-cell counts (trials, cells),
+    and each signalling sensor's k marker-slot outputs drawn from the
+    kernel row of its on or off input and the partner's pilot with
+    u_marker[i] (trials, k). No other channel output is read, so none is
+    drawn."""
     flags = _read_flags(counts, joint.dims, scheme)
     accept = flags[2]
     for sensor, u in zip(scheme.cls.signalling, u_marker):
@@ -230,17 +207,19 @@ def _batch_accept(joint: Joint3Pmf, channel, scheme: Scheme, counts, u_marker):
 
 def _direct_block(problem, channel, scheme, seed_seq, count, sides):
     rng = np.random.default_rng(seed_seq)
-    null, alt = "null" in sides, "alt" in sides
-    joints = [problem.p] * null + [problem.q] * alt
-    counts = _source_counts([j.probs.ravel() for j in joints], rng, count, scheme.n)
     # the marker-slot uniforms are drawn before branching on the hypothesis,
-    # so the two runs share them as well as the source uniforms
+    # and each hypothesis's counts are drawn from the same generator state,
+    # so the two runs share all their randomness and a one-sided run reads
+    # the same draws as a two-sided one
     u_marker = [rng.random((count, scheme.k)) for _ in scheme.cls.signalling]
-    accepted = [int(_batch_accept(j, channel, scheme, c, u_marker).sum())
-                for j, c in zip(joints, counts)]
-    rejects = count - accepted[0] if null else 0
-    accepts = accepted[-1] if alt else 0
-    return rejects, accepts
+    start = rng.bit_generator.state
+    accepted = {}
+    for side, joint in (("null", problem.p), ("alt", problem.q)):
+        if side in sides:
+            rng.bit_generator.state = start
+            counts = rng.multinomial(scheme.n, joint.probs.ravel(), size=count)
+            accepted[side] = int(_batch_accept(joint, channel, scheme, counts, u_marker).sum())
+    return count - accepted.get("null", count), accepted.get("alt", 0)
 
 
 @dataclass(frozen=True)
@@ -266,10 +245,11 @@ def run_trials(
 ) -> TrialEstimate:
     """Direct Monte-Carlo of both error probabilities.
 
-    Source draws are inverse-cdf through uniforms shared across the two
-    hypotheses, and so are the marker-slot channel draws, so the estimates
-    are trial-coupled: with P = Q every trial rejects under exactly one
-    hypothesis and alpha_hat + beta_hat = 1 exactly.
+    Each trial's joint-cell counts are one multinomial draw, made from the
+    same generator state under both hypotheses, and the marker-slot channel
+    draws share their uniforms, so the estimates are trial-coupled: with
+    P = Q every trial rejects under exactly one hypothesis and
+    alpha_hat + beta_hat = 1 exactly.
     """
     if n != scheme.n:
         raise ValueError(f"scheme was built for n={scheme.n}, got n={n}")
@@ -430,7 +410,7 @@ def _is_block(problem, scheme, tilt_flat, log_ratio, seed_seq, count):
     """Returns (hi, s1, s2): the largest log contribution, and the sums of
     the contributions and of their squares scaled by exp(-hi), exp(-2 hi)."""
     rng = np.random.default_rng(seed_seq)
-    (counts,) = _source_counts([tilt_flat], rng, count, scheme.n)
+    counts = rng.multinomial(scheme.n, tilt_flat, size=count)
     acc = scheme.accept_weights(_read_flags(counts, problem.q.dims, scheme))
 
     with np.errstate(divide="ignore", invalid="ignore"):

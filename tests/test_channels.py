@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc
 from scipy.stats import norm
 
 from steinmac.channels import (
@@ -435,6 +436,18 @@ class TestGgTail:
         cm = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
         tail = gg_dn_tail(mac, cm, 100, 1e3, 1000, np.random.default_rng(1))
         assert tail == 0.0
+
+    def test_matches_gamma_closed_form(self):
+        # ||Z||_p^p / (2 sigma^p) is Gamma(n/p, 1), so the tail is the
+        # regularized upper incomplete gamma function at nu / (2 sigma^p)
+        mac = GgMac(1.1, 1.0, 1.0, 1.0)
+        cm = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
+        n, trials = 8, 20_000
+        nu = gg_ratio_bound(mac, cm, n, 0.05).nu
+        exact = gammaincc(n / mac.p, nu / (2 * mac.sigma**mac.p))
+        assert 1e-3 < exact < 0.5
+        tail = gg_dn_tail(mac, cm, n, 0.05, trials, np.random.default_rng(3))
+        assert abs(tail - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
 
     def test_in_unit_interval(self):
         mac = GgMac(3.0, 1.0, 1.0, 1.0)

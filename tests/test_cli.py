@@ -427,6 +427,17 @@ class TestEntryPoint:
         assert console.get("steinmac") == declared_scripts()["steinmac"]
         assert shutil.which("steinmac") is not None
 
+    def test_cli_import_does_not_load_scipy(self, checkout_env):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, steinmac.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=checkout_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_module_invocation(self, workdir, checkout_env):
         proc = subprocess.run(
             [sys.executable, "-m", "steinmac.cli", "classify",

@@ -328,6 +328,16 @@ class TestBuildForClass:
                 ChannelClass.SPARSE, mac, self.p, self.cm, 100, 0.2
             )
 
+    def test_class_checked_before_markers(self):
+        # the sparse_full kernel has no sensor-2 witness, so a class check
+        # after find_markers would surface as NoMarkers
+        with pytest.raises(
+            ValueError, match="channel classifies as sparse_full, scheme needs sparse"
+        ):
+            build_scheme_for_class(
+                ChannelClass.SPARSE, _fading((1,), (-1, 1)), self.p, self.cm, 100, 0.2
+            )
+
     def test_cost_table_size_checked(self):
         cm = CostModel.unit(3, 2, BudgetLaw.power(1.0, 0.5))
         with pytest.raises(ValueError, match="alphabet"):

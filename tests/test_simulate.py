@@ -39,9 +39,7 @@ from steinmac.simulate import (
 )
 from steinmac.simulate import (
     _batch_accept,
-    _cell_counts,
     _exact_accept_prob,
-    _source_counts,
     _typicality_flags,
 )
 
@@ -367,15 +365,14 @@ class TestDirectMonteCarlo:
         with pytest.raises(TypeError, match="discrete"):
             run_trials(problem, GgMac(2.0, 1.0, 1.0, 1.0), scheme, 8, 10, seed=0)
 
-    @pytest.mark.parametrize("n", [7, 800, 70_000])
-    def test_sliced_source_draws_match_one_draw(self, n):
-        probs = [P_JOINT.ravel(), Q_JOINT.ravel()]
-        sliced, whole = np.random.default_rng(12), np.random.default_rng(12)
-        got = _source_counts(probs, sliced, 300, n)
-        u = whole.random((300, n))
-        for counts, p in zip(got, probs):
-            np.testing.assert_array_equal(counts, _cell_counts(p, u))
-        assert sliced.random() == whole.random()
+    def test_one_sided_run_reads_the_two_sided_draws(self):
+        problem, ch, _, scheme = sparse_fixture(n=12)
+        local, local_scheme = local_fixture([0.5, 0.5], [0.3, 0.7], 0.2, 20)
+        for prob, chan, sch in ((problem, ch, scheme), (local, None, local_scheme)):
+            both = run_trials(prob, chan, sch, sch.n, 5000, seed=9)
+            null = run_trials(prob, chan, sch, sch.n, 5000, seed=9, sides=("null",))
+            assert null.alpha_hat == both.alpha_hat
+            assert (null.alpha_lo, null.alpha_hi) == (both.alpha_lo, both.alpha_hi)
 
     def test_block_memory_does_not_grow_with_n(self):
         # a whole (2048, 800) block of uniforms and cell indices is 26 MB
@@ -409,12 +406,15 @@ class TestBatchRule:
             q = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
             problem, ch, scheme = class_fixture(cls, p, q, n, mu)
             u_src = rng.random((trials, n))
+            # joint-cell counts of each row of the explicit sequences
+            rows = np.arange(trials)[:, None] * 8
             u_marker = [
                 rng.random((trials, scheme.k))
                 for _ in range(int(scheme.signals1) + int(scheme.signals2))
             ]
             for joint in (problem.p, problem.q):
-                counts = _cell_counts(joint.probs.ravel(), u_src)
+                cells = quantile_map(joint.probs.ravel(), u_src) + rows
+                counts = np.bincount(cells.ravel(), minlength=trials * 8).reshape(trials, 8)
                 batch = _batch_accept(joint, ch, scheme, counts, u_marker)
                 ref = per_sequence_accepts(joint, ch, scheme, u_src, u_marker)
                 np.testing.assert_array_equal(batch, ref)
