@@ -4,8 +4,9 @@ Three subcommands:
 
 * ``classify <kernel-file>`` prints the connectivity class and, when the
   class calls for them, the marker witnesses for each signaling sensor;
-* ``exponent <problem-file> (--channel <kernel-file> | --gg p,sigma,h1,h2)``
+* ``exponent <problem-file> (--channel <kernel-file> | --gg p,sigma,h1,h2) [-v]``
   prints the achievable type-2 exponent and its minimizing source joint;
+  ``-v`` adds the I-projection's sweeps, residual and face to stderr;
 * ``simulate <config-file>`` runs a blocklength ladder and writes a CSV.
 
 Problem files: a dims line ``|U1| |U2| |V|``, the P tensor row-major, a
@@ -16,6 +17,7 @@ flat ``key = value`` lines; paths are resolved relative to the config file.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -225,6 +227,12 @@ def cmd_exponent(args) -> int:
         _parse_gg_mac(args.gg)  # validated; a noisy additive channel never
         cls = ChannelClass.FULL  # loses an output, so only v is observable
     res = class_projection(cls, problem.p, problem.q)
+    if args.verbose:
+        print(
+            f"ipf: sweeps={res.iterations} residual={res.residual:.3e} "
+            f"face={res.face} of {np.count_nonzero(problem.q.probs)} cells",
+            file=sys.stderr,
+        )
     theta = class_exponent(cls, problem.p, problem.q, projection=res)
     print(f"exponent: {theta:.6f}")
     print(f"exponent_nats: {theta!r}")
@@ -359,6 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_exp.add_mutually_exclusive_group(required=True)
     group.add_argument("--channel", help="kernel file path")
     group.add_argument("--gg", help="additive-noise channel as p,sigma,h1,h2")
+    p_exp.add_argument(
+        "-v", "--verbose", action="store_true",
+        help="report the I-projection's sweeps, residual and face on stderr",
+    )
     p_exp.set_defaults(func=cmd_exponent)
 
     p_sim = sub.add_parser("simulate", help="run a blocklength ladder")
@@ -371,8 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process: building
+    it costs more than most calls, and parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SteinmacError, OSError) as e:

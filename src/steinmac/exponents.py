@@ -9,6 +9,7 @@ exactly, backs the iterative answer in tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,8 @@ from .errors import DimensionTooLarge, NoFeasiblePoint, NonConvergence
 from .prob import Joint3Pmf, Pmf, kl_divergence
 
 _MAX_BRUTE_CELLS = 8
+_FACE_SWEEPS = 100  # IPF sweeps before the first search for a boundary face
+_CERT_TOL = 1e-12  # mass a certified face may leave off, for any feasible joint
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,15 @@ class MarginalConstraintSet:
 
 @dataclass(frozen=True)
 class IProjectionResult:
+    """face is the number of cells where argmin is positive: the support
+    of Q on interior instances, fewer when the projection lies on the
+    boundary of the simplex."""
+
     value: float
     argmin: np.ndarray
     iterations: int
     residual: float
+    face: int
     trace: tuple = field(default=(), repr=False)
 
 
@@ -93,11 +101,6 @@ def _normalize_constraints(q: np.ndarray, constraints) -> list:
     return out
 
 
-def _axis_marginal(p: np.ndarray, axis: int) -> np.ndarray:
-    other = tuple(a for a in range(p.ndim) if a != axis)
-    return p.sum(axis=other)
-
-
 def min_kl_fixed_marginals(
     q,
     constraints,
@@ -108,11 +111,18 @@ def min_kl_fixed_marginals(
     """I-projection of Q onto the set of joints with the given marginals.
 
     Returns the minimizing joint, the divergence value, the number of full
-    sweeps, and the final residual (largest L1 gap between a constrained
-    marginal and its target). Cells where Q vanishes stay zero, since the
-    updates are multiplicative. With trace=True the per-sweep iterates are
-    kept, which tests use to confirm the distance to the final point is
-    non-increasing sweep over sweep.
+    sweeps, the final residual (largest L1 gap between a constrained
+    marginal and its target) and the size of the face the minimizer lies
+    on. Cells where Q vanishes stay zero, since the updates are
+    multiplicative. With trace=True the per-sweep iterates are kept, which
+    tests use to confirm the distance to the final point is non-increasing
+    sweep over sweep.
+
+    When the constraints force some Q-supported cells to zero, IPF creeps
+    toward the boundary like 1/k. Every _FACE_SWEEPS, 10 _FACE_SWEEPS, ...
+    sweeps the solver therefore looks for that face (see
+    _restrict_to_face) and, once a certificate proves it, carries on from
+    the iterate restricted to it, where convergence is geometric.
     """
     qa = _unwrap_joint(q)
     cons = _normalize_constraints(qa, constraints)
@@ -122,42 +132,140 @@ def min_kl_fixed_marginals(
         raise ValueError("max_iters must be >= 1")
 
     if not cons:
-        return IProjectionResult(0.0, qa.copy(), 0, 0.0)
+        return IProjectionResult(0.0, qa.copy(), 0, 0.0, int(np.count_nonzero(qa)))
 
+    steps = _sweep_plan(qa.ndim, cons)
     p = qa.copy()
     iterates = []
-    residual = np.inf
     sweeps = 0
-    while sweeps < max_iters:
-        for axis, target in cons:
-            m = _axis_marginal(p, axis)
-            dead = m == 0
-            if np.any(dead & (target > 0)):
-                sym = int(np.flatnonzero(dead & (target > 0))[0])
-                raise NoFeasiblePoint(
-                    f"target puts mass {target[sym]:.6g} on symbol {sym} of "
-                    f"axis {axis}, but no feasible joint can reach it"
-                )
-            factor = np.divide(target, m, out=np.zeros_like(target), where=~dead)
-            shape = [1] * p.ndim
-            shape[axis] = -1
-            p = p * factor.reshape(shape)
+    face_check = _FACE_SWEEPS
+    while True:
+        for axis, target, others, shape in steps:
+            m = p.sum(axis=others)
+            if m.all():
+                factor = target / m
+            else:
+                dead = m == 0
+                unreachable = dead & (target > 0)
+                if unreachable.any():
+                    sym = int(np.flatnonzero(unreachable)[0])
+                    raise NoFeasiblePoint(
+                        f"target puts mass {target[sym]:.6g} on symbol {sym} of "
+                        f"axis {axis}, but no feasible joint can reach it"
+                    )
+                factor = np.divide(target, m, out=np.zeros_like(target), where=~dead)
+            p *= factor.reshape(shape)
         sweeps += 1
         if trace:
             iterates.append(p.copy())
-        residual = max(
-            float(np.abs(_axis_marginal(p, axis) - target).sum())
-            for axis, target in cons
-        )
+        residual = max([
+            float(np.abs(p.sum(axis=others) - target).sum())
+            for _, target, others, _ in steps
+        ])
         if residual <= tol:
             break
-    else:
-        raise NonConvergence(residual, sweeps)
-    if residual > tol:
-        raise NonConvergence(residual, sweeps)
+        if sweeps >= max_iters:
+            raise NonConvergence(residual, sweeps)
+        if sweeps == face_check:
+            face_check *= 10
+            _restrict_to_face(p, qa, steps)
 
     value = kl_divergence(p, qa)
-    return IProjectionResult(value, p, sweeps, residual, tuple(iterates))
+    return IProjectionResult(
+        value, p, sweeps, residual, int(np.count_nonzero(p)), tuple(iterates)
+    )
+
+
+def _sweep_plan(ndim: int, cons) -> list:
+    """Per constrained axis: the axis, its target, the axes its marginal
+    sums out, and the shape that broadcasts a per-symbol factor along it."""
+    steps = []
+    for axis, target in cons:
+        shape = [1] * ndim
+        shape[axis] = -1
+        others = tuple(a for a in range(ndim) if a != axis)
+        steps.append((axis, target, others, tuple(shape)))
+    return steps
+
+
+def _restrict_to_face(p: np.ndarray, q: np.ndarray, steps) -> bool:
+    """Zero the IPF iterate p, in place, off the face of the feasible set
+    if _certifies_face proves one; returns whether it did.
+
+    Off the face the log-ratios log(p/q) drift to -inf, while on it they
+    converge (Csiszar 1975), so the guesses are the top sets of the
+    log-ratios over the live cells (p > 0), smallest first. Every certified
+    guess contains the face, so the first one found is the smallest.
+    """
+    live = np.flatnonzero(p)
+    flat_p = p.reshape(-1)
+    ratio = np.log(flat_p[live] / q.reshape(-1)[live])
+    order = live[np.argsort(-ratio, kind="stable")]
+    face = np.zeros(p.shape, dtype=bool)
+    for cell in order[:-1]:
+        face.flat[cell] = True
+        if _certifies_face(p, q, steps, face):
+            flat_p[~face.reshape(-1)] = 0.0
+            return True
+    return False
+
+
+def _certifies_face(p: np.ndarray, q: np.ndarray, steps, face: np.ndarray) -> bool:
+    """Whether a Farkas vector proves that every feasible joint supported
+    on the live cells of the IPF iterate p (p > 0) puts at most _CERT_TOL
+    of mass on live cells outside the boolean mask face.
+
+    A cell that p holds at zero stays zero under IPF's multiplicative
+    updates (a symbol with target 0 zeroes its cells in the first sweep),
+    so only the live cells count. On them, log(p/q) = A^T lam, where A
+    has one 0/1 row per constrained (axis, symbol) and lam, found by
+    elimination, holds the multipliers IPF has accumulated (up to a part
+    that A^T maps to zero on the live cells). The candidate y is the projection of
+    -lam onto null(A_F^T), F the live cells on the face. Then s = A^T y
+    vanishes on F, and the guess is accepted only if s >= s_min > 0 on
+    every other live cell while b^T y, b the stacked targets, vanishes too.
+    Any feasible R has sum over live cells off F of s R = b^T y - sum over
+    F of s R, so its mass off F is at most (|b^T y| + max_F |s|) / s_min.
+    A guess that leaves out a cell some feasible joint charges has
+    b^T y > 0 there, so it is refused.
+    """
+    live = np.flatnonzero(p)
+    on = face.reshape(-1)[live]
+    if on.all():
+        return False
+    cells = np.unravel_index(live, p.shape)
+    a = np.concatenate([
+        cells[axis][None, :] == np.arange(target.size)[:, None]
+        for axis, target, _, _ in steps
+    ]).astype(float)
+    b = np.concatenate([target for _, target, _, _ in steps])
+    ratio = np.log(p.reshape(-1)[live] / q.reshape(-1)[live])
+    try:
+        _, lam_piv, piv = _reduce_system(a.T, ratio)
+    except NoFeasiblePoint:  # log(p/q) off the row space of A beyond rounding
+        return False
+    lam = np.zeros(b.size)
+    lam[piv] = lam_piv
+    # y is -lam less its projection on the span of A's face columns, found
+    # by Gram-Schmidt in plain array arithmetic: the first LAPACK call of a
+    # process (pinv, lstsq) adds about 1.5 MB of resident memory, and
+    # nothing else on the exponent path makes one
+    y = -lam
+    basis = []
+    for col in a[:, on].T:
+        for u in basis:
+            col = col - (col * u).sum() * u
+        norm = np.sqrt((col * col).sum())
+        if norm > 1e-9:
+            basis.append(col / norm)
+    for u in basis:
+        y = y - (y * u).sum() * u
+    s = (a * y[:, None]).sum(axis=0)
+    s_min = s[~on].min()
+    if s_min <= 0:
+        return False
+    slack = max(float(np.abs(s[on]).max(initial=0.0)), abs(float((b * y).sum())))
+    return slack <= _CERT_TOL * s_min
 
 
 def _constraint_rows(shape, cons, qflat):
@@ -242,50 +350,88 @@ def brute_force_min_kl(q, constraints, grid_step: float, refine: int = 0) -> flo
         members = row > 0
         caps[members] = np.minimum(caps[members], rhs)
 
-    pos = qflat > 0
-    logq = np.log(qflat[pos])
+    pos = np.flatnonzero(qflat)
+    logq = np.zeros(qflat.size)
+    logq[pos] = np.log(qflat[pos])
+
+    def in_box(x):
+        return (x >= -1e-9) & (x <= 1 + 1e-9)
+
+    def kl_term(x, cell):
+        # a solved cell within 1e-9 below zero counts as zero
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x > 0, x * (np.log(x) - logq[cell]), 0.0)
 
     def evaluate(points):
         """points: per-free-cell 1-d grids; returns (best value, best free
-        assignment) over all feasible combinations, or (inf, None)."""
-        if not free:
-            grids = [np.zeros(1)]
-            lens = [1]
+        assignment) over all feasible combinations, or (inf, None).
+
+        The combinations are the grids' outer product in row-major order,
+        cut into chunks of at most `batch` points: a few leading grids
+        pinned to one value each, a slab of the next, all of the rest.
+        Solved cells and the free cells' KL terms are built by
+        broadcasting, and the solved cells' terms only at feasible points.
+        """
+        if free:
+            grids, mfree = list(points), ared[:, free]
         else:
-            grids = points
-            lens = [len(g) for g in grids]
-        total = int(np.prod(lens))
-        best_val, best_x = np.inf, None
-        mfree = ared[:, free] if free else np.zeros((ared.shape[0], 0))
+            grids, mfree = [np.zeros(1)], np.zeros((len(pivots), 1))
+        lens = [g.size for g in grids]
         batch = 1 << 17
-        for start in range(0, total, batch):
-            idx = np.arange(start, min(start + batch, total))
-            xf = np.empty((idx.size, len(free)))
-            rem = idx
-            for j in range(len(free) - 1, -1, -1):
-                rem, digit = np.divmod(rem, lens[j])
-                xf[:, j] = grids[j][digit]
-            solved = bred[None, :] - xf @ mfree.T
-            full = np.empty((idx.size, qflat.size))
-            if free:
-                full[:, free] = xf
-            full[:, pivots] = solved
-            feas = np.all(full >= -1e-9, axis=1) & np.all(full <= 1 + 1e-9, axis=1)
-            if not np.any(feas):
-                continue
-            cand = np.clip(full[feas], 0.0, None)
-            terms = np.zeros_like(cand[:, pos])
-            cp = cand[:, pos]
-            nz = cp > 0
-            terms[nz] = (cp * (np.log(cp, where=nz, out=np.zeros_like(cp)) - logq))[nz]
-            vals = terms.sum(axis=1)
-            # any mass on an unsupported cell of Q is pinned to zero by the
-            # constraint rows, so no infinite term can appear here
-            j = int(np.argmin(vals))
-            if vals[j] < best_val:
-                best_val = float(vals[j])
-                best_x = cand[j, free].astype(float) if free else np.zeros(0)
+        lead = 0
+        while int(np.prod(lens[lead:])) > batch:
+            lead += 1
+        slab = batch // max(1, int(np.prod(lens[lead:])))
+        best_val, best_x = np.inf, None
+        for prefix in itertools.product(*(range(n) for n in lens[:max(lead - 1, 0)])):
+            slabs = range(0, lens[lead - 1], slab) if lead else [None]
+            for start in slabs:
+                sub = [g[i:i + 1] for g, i in zip(grids, prefix)]
+                if lead:
+                    sub.append(grids[lead - 1][start:start + slab])
+                sub += grids[lead:]
+                val, x = evaluate_chunk(sub, mfree)
+                if val < best_val:
+                    best_val, best_x = val, x
         return best_val, best_x
+
+    def evaluate_chunk(sub, mfree):
+        """evaluate over the outer product of the 1-d grids in sub."""
+        ndim = len(sub)
+
+        def along(j, v):
+            return v.reshape([-1 if i == j else 1 for i in range(ndim)])
+
+        feas = np.ones([g.size for g in sub], dtype=bool)
+        for j, g in enumerate(sub):
+            ok = in_box(g)
+            if not ok.all():
+                feas &= along(j, ok)
+        solved = []
+        for k in range(len(pivots)):
+            acc = along(0, sub[0] * mfree[k, 0])
+            for j in range(1, ndim):
+                acc = acc + along(j, sub[j] * mfree[k, j])
+            cell = bred[k] - acc
+            feas &= in_box(cell)
+            solved.append(cell)
+        idx = np.nonzero(feas)
+        count = idx[0].size
+        if not count:
+            return np.inf, None
+        terms = np.empty((count, pos.size))
+        for col, cell in enumerate(pos):
+            if cell in pivots:
+                terms[:, col] = kl_term(solved[pivots.index(cell)][idx], cell)
+            else:
+                j = free.index(cell)
+                terms[:, col] = kl_term(sub[j], cell)[idx[j]]
+        vals = terms.sum(axis=1)
+        # any mass on an unsupported cell of Q is pinned to zero by the
+        # constraint rows, so no infinite term can appear here
+        m = int(np.argmin(vals))
+        x = np.array([sub[j][idx[j][m]] for j in range(len(free))])
+        return float(vals[m]), x
 
     step = grid_step
     base_points = [np.arange(0.0, min(1.0, caps[c]) + step / 2, step) for c in free]
@@ -301,7 +447,7 @@ def brute_force_min_kl(q, constraints, grid_step: float, refine: int = 0) -> flo
                 seed, pinned.get(axis, np.full(size, 1.0 / size))
             )
         seed = seed.ravel()
-        if np.any(seed[~pos] > 0):
+        if np.any(seed[qflat == 0] > 0):
             raise NoFeasiblePoint(
                 "constraints put mass outside the support of q"
             )

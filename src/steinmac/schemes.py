@@ -265,8 +265,8 @@ def class_projection(cls: ChannelClass, p, q, tol: float = 1e-10) -> IProjection
     """I-projection of q onto the joints that share p's marginals on the
     class's pinned axes. Its minimizer is the source joint that dominates
     the type-2 error."""
-    pa = _joint_array(p)
-    cons = {axis: marginal(pa, axis) for axis in pinned_axes(cls)}
+    pj = p if isinstance(p, Joint3Pmf) else Joint3Pmf(p)
+    cons = {axis: marginal(pj, axis) for axis in pinned_axes(cls)}
     return min_kl_fixed_marginals(_joint_array(q), cons, tol=tol)
 
 

@@ -1,8 +1,13 @@
+import csv
 import importlib.metadata
+import io
+import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -59,6 +64,20 @@ PROBLEM_FROZEN = """# joint null and alternative for the sparse fixture
 0.20 0.15
 """
 
+# all three marginals pinned force the Q-supported cell 010 to zero: the
+# I-projection lies on the boundary of the simplex and its value is ln 1.25
+PROBLEM_BOUNDARY = """2 2 2
+0.5 0
+0 0
+0 0
+0 0.5
+
+0.4 0
+0.2 0
+0 0
+0 0.4
+"""
+
 ALPHA_N8 = 0.8686963871738652
 BETA_N8 = 0.13403004969375013
 
@@ -80,6 +99,7 @@ def workdir(tmp_path):
     (tmp_path / "noisy.kernel").write_text(NOISY)
     (tmp_path / "uniform.problem").write_text(PROBLEM_UNIFORM)
     (tmp_path / "frozen.problem").write_text(PROBLEM_FROZEN)
+    (tmp_path / "boundary.problem").write_text(PROBLEM_BOUNDARY)
     return tmp_path
 
 
@@ -160,6 +180,34 @@ class TestExponent:
         code, _, _ = run("exponent", str(workdir / "uniform.problem"), *tail)
         assert code == 0
         assert len(solves) == 1
+
+    def test_boundary_projection_answered(self, run, workdir):
+        argv = ["exponent", str(workdir / "boundary.problem"),
+                "--channel", str(workdir / "adder.kernel")]
+        start = time.perf_counter()
+        code, out, err = run(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "class: sparse"
+        assert abs(float(lines[2].split(":")[1]) - math.log(1.25)) <= 1e-12
+        assert "0 1 0 0" in lines
+        assert err == ""
+
+    def test_verbose_reports_solve_on_stderr_only(self, run, workdir):
+        argv = ["exponent", str(workdir / "boundary.problem"),
+                "--channel", str(workdir / "adder.kernel")]
+        _, quiet, _ = run(*argv)
+        code, out, err = run(*argv, "-v")
+        assert code == 0
+        assert out == quiet
+        assert err.startswith("ipf: sweeps=")
+        assert "face=2 of 3 cells" in err
+        _, quiet, _ = run("exponent", str(workdir / "uniform.problem"), "--gg", "2,1,1,1")
+        code, out, err = run("exponent", str(workdir / "uniform.problem"),
+                             "--gg", "2,1,1,1", "-v")
+        assert out == quiet
+        assert "face=8 of 8 cells" in err
 
     def test_bad_gg_argument(self, run, workdir):
         code, _, err = run(
@@ -327,6 +375,33 @@ class TestSimulate:
         assert "classifies as sparse" in err
         assert "scheme=auto selects sparse" in err
 
+    def test_boundary_instance_exact_ladder(self, run, workdir):
+        cfg = write_sim_config(
+            workdir, problem="boundary.problem", **{"channel.file": "adder.kernel"}
+        )
+        start = time.perf_counter()
+        code, out, err = run("simulate", str(cfg))
+        assert time.perf_counter() - start < 10.0
+        assert code == 0, err
+        assert "theoretical_exponent: 0.223144" in out
+        rows = list(csv.DictReader(io.StringIO((workdir / "run.csv").read_text())))
+        assert len(rows) == 3
+        theta = float(rows[0]["theoretical_exponent"])
+        assert abs(theta - math.log(1.25)) <= 1e-12
+
+    def test_boundary_instance_importance_refuses_zero_tilt(self, run, workdir):
+        # the tilt is the I-projection, which vanishes on the Q-supported
+        # cell 010 where acceptance is possible, so IS would be biased
+        cfg = write_sim_config(
+            workdir, problem="boundary.problem", estimator="importance",
+            **{"channel.file": "adder.kernel"},
+        )
+        start = time.perf_counter()
+        code, _, err = run("simulate", str(cfg))
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert err.startswith("error: tilt is zero at cell (0, 1, 0)")
+
     def test_config_error_paths(self, run, workdir):
         cases = [
             dict(**{"channel.kind": "awgn"}),
@@ -437,6 +512,71 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_exponent_on_boundary_does_not_load_scipy(self, workdir, checkout_env):
+        code = (
+            "import sys\n"
+            "from steinmac.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print('scipy' in sys.modules, rc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "exponent",
+             str(workdir / "boundary.problem"), "--channel",
+             str(workdir / "adder.kernel")],
+            capture_output=True, text=True, env=checkout_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "exponent_nats: 0.2231435513142097" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "False 0"
+
+    def test_one_process_matches_fresh_processes(self, workdir, checkout_env):
+        # the parser is built once per process; a run of calls in one
+        # process, an argparse error first, must print what fresh
+        # processes print
+        cfg = write_sim_config(workdir)
+        calls = [
+            ["exponent", str(workdir / "uniform.problem")],
+            ["exponent", str(workdir / "uniform.problem"), "--gg", "2,1,1,1"],
+            ["exponent", str(workdir / "boundary.problem"), "--channel",
+             str(workdir / "adder.kernel")],
+            ["classify", str(workdir / "adder.kernel")],
+            ["simulate", str(cfg)],
+        ]
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "steinmac.cli", *argv],
+                capture_output=True, text=True, env=checkout_env,
+            )
+            fresh.append([proc.returncode, proc.stdout, proc.stderr])
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from steinmac.cli import main\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        try:\n"
+            "            rc = main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            rc = exc.code\n"
+            "    results.append([rc, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(results))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(calls)],
+            capture_output=True, text=True, env=checkout_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        together = json.loads(proc.stdout)
+        assert fresh[0][0] == 2 and "usage: steinmac exponent" in fresh[0][2]
+        assert together[0][0] == fresh[0][0]
+        assert together[0][1] == fresh[0][1] == ""
+        assert together[0][2] == fresh[0][2]
+        for got, want in zip(together[1:], fresh[1:]):
+            assert got[:2] == want[:2]
+        assert [rc for rc, _, _ in fresh[1:]] == [0, 0, 0, 0]
 
     def test_module_invocation(self, workdir, checkout_env):
         proc = subprocess.run(

@@ -1,5 +1,10 @@
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinmac.errors import (
     AbsoluteContinuityViolation,
@@ -7,15 +12,32 @@ from steinmac.errors import (
     NoFeasiblePoint,
     NonConvergence,
 )
+from steinmac.channels import ChannelClass
 from steinmac.exponents import (
     MarginalConstraintSet,
+    _certifies_face,
+    _normalize_constraints,
+    _sweep_plan,
     brute_force_min_kl,
     local_stein_exponent,
     min_kl_fixed_marginals,
 )
+from steinmac.schemes import class_projection
 from steinmac.prob import Joint3Pmf, Pmf, kl_divergence, marginal
 
 LN_5_3 = 0.5108256237659907
+
+
+def boundary_instance():
+    """P = (d000 + d111)/2 against Q = .4 d000 + .4 d111 + .2 d010: all three
+    marginals pinned force the Q-supported cell 010 to zero, and the
+    I-projection is (d000 + d111)/2 with value ln 1.25."""
+    p = np.zeros((2, 2, 2))
+    p[0, 0, 0] = p[1, 1, 1] = 0.5
+    q = np.zeros((2, 2, 2))
+    q[0, 0, 0] = q[1, 1, 1] = 0.4
+    q[0, 1, 0] = 0.2
+    return p, q
 
 
 def random_instance(rng, dims=(2, 2, 2)):
@@ -232,3 +254,113 @@ class TestOrdering:
             via_ipf = min_kl_fixed_marginals(q, {2: pv}).value
             direct = local_stein_exponent(pv, marginal(q, 2))
             assert via_ipf == pytest.approx(direct, abs=1e-9)
+
+
+def _marginals(p, axes):
+    return {axis: Pmf(p.sum(axis=tuple(a for a in range(p.ndim) if a != axis)))
+            for axis in axes}
+
+
+class TestBoundaryFace:
+    def test_boundary_value_exact_and_fast(self):
+        p, q = boundary_instance()
+        start = time.perf_counter()
+        res = min_kl_fixed_marginals(q, _marginals(p, range(3)))
+        elapsed = time.perf_counter() - start
+        assert abs(res.value - math.log(1.25)) <= 1e-12
+        assert elapsed < 1.0
+        assert res.residual <= 1e-10
+        assert res.face == 2
+        assert res.argmin[0, 1, 0] == 0.0
+        assert np.allclose(res.argmin, p, atol=1e-12)
+
+    def test_boundary_through_class_projection(self):
+        p, q = boundary_instance()
+        start = time.perf_counter()
+        res = class_projection(ChannelClass.SPARSE, p, q)
+        assert time.perf_counter() - start < 1.0
+        assert abs(res.value - math.log(1.25)) <= 1e-12
+        assert res.face == 2
+
+    def test_interior_face_is_q_support(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            p, q = random_instance(rng)
+            res = min_kl_fixed_marginals(q, _marginals(p, range(3)))
+            assert res.face == np.count_nonzero(q) == 8
+        q = np.array([[0.4, 0.0], [0.1, 0.5]])
+        res = min_kl_fixed_marginals(q, {0: Pmf([0.5, 0.5])})
+        assert res.face == 3
+
+    def test_lyapunov_monotone_across_the_face_switch(self):
+        p, q = boundary_instance()
+        res = min_kl_fixed_marginals(q, _marginals(p, range(3)), trace=True)
+        assert len(res.trace) == res.iterations > 100
+        gaps = [kl_divergence(res.argmin, it) for it in res.trace]
+        for earlier, later in zip(gaps, gaps[1:]):
+            assert later <= earlier + 1e-12
+
+    def test_wrong_face_guess_refused(self):
+        p, q = boundary_instance()
+        cons = _marginals(p, range(3))
+        # a loose tol stops IPF at an interior iterate, before any face search
+        it = min_kl_fixed_marginals(q, cons, tol=1e-2)
+        assert it.face == 3
+        steps = _sweep_plan(3, _normalize_constraints(q, cons))
+
+        def certifies(*cells):
+            face = np.zeros(q.shape, dtype=bool)
+            for cell in cells:
+                face[cell] = True
+            return _certifies_face(it.argmin, q, steps, face)
+
+        assert certifies((0, 0, 0), (1, 1, 1))
+        # too small: a feasible joint charges the cell left out
+        assert not certifies((0, 0, 0))
+        assert not certifies((1, 1, 1))
+        # wrong cells: the face cell left out is charged, 010 never is
+        assert not certifies((0, 0, 0), (0, 1, 0))
+        assert not certifies((1, 1, 1), (0, 1, 0))
+
+    def test_interior_instance_certifies_no_face(self):
+        rng = np.random.default_rng(8)
+        p, q = random_instance(rng)
+        cons = _marginals(p, range(3))
+        it = min_kl_fixed_marginals(q, cons, tol=1e-3)
+        steps = _sweep_plan(3, _normalize_constraints(q, cons))
+        order = np.argsort(-np.log(it.argmin / q), axis=None)
+        face = np.zeros(q.shape, dtype=bool)
+        for cell in order[:-1]:
+            face.flat[cell] = True
+            assert not _certifies_face(it.argmin, q, steps, face)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_sparse_support_matches_oracle(self, data):
+        # P puts ten tenths on two or three cells, so it is a point of the
+        # oracle's 0.1 grid and the set is feasible; Q adds up to three
+        # cells and is zero elsewhere. Pinning a sparse P's marginals can
+        # force some of Q's cells to zero (15 of the 200 examples, with the
+        # hypothesis version this was written against, need the face search)
+        dims = data.draw(st.sampled_from([(2, 2, 2), (2, 3), (2, 2)]))
+        size = int(np.prod(dims))
+        cell = st.integers(0, size - 1)
+        p_cells = data.draw(st.lists(cell, min_size=2, max_size=3, unique=True))
+        extra = data.draw(st.lists(cell, min_size=1, max_size=3, unique=True))
+        q = np.zeros(size)
+        for c in sorted(set(p_cells) | set(extra)):
+            q[c] = data.draw(st.integers(1, 3))
+        q = (q / q.sum()).reshape(dims)
+        draws = data.draw(st.lists(st.sampled_from(p_cells), min_size=10, max_size=10))
+        p = (np.bincount(draws, minlength=size) / 10).reshape(dims)
+        axes = set(range(3)) if len(dims) == 3 else data.draw(
+            st.sets(st.integers(0, 1), min_size=1)
+        )
+        cons = _marginals(p, sorted(axes))
+        res = min_kl_fixed_marginals(q, cons)
+        grid = brute_force_min_kl(q, cons, 0.1, refine=2)
+        assert abs(res.value - grid) <= 1e-3
+        assert res.face <= np.count_nonzero(q)
+        for axis, target in cons.items():
+            got = res.argmin.sum(axis=tuple(a for a in range(len(dims)) if a != axis))
+            assert np.abs(got - target.probs).sum() <= 1e-10
