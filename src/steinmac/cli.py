@@ -36,7 +36,8 @@ from .channels import (
 from .errors import NoMarkers, ParseError, SteinmacError
 from .exponents import min_kl_fixed_marginals  # noqa: F401  (bench traces it by name)
 from .prob import Joint3Pmf
-from .schemes import class_exponent, class_projection
+from .schemes import class_exponent  # noqa: F401  (bench traces it by name)
+from .schemes import class_projection
 from .simulate import SimConfig, TestProblem, run_ladder
 
 _SCHEME_CHOICES = ("auto", "local", "sparse", "sparse_full", "full_sparse")
@@ -194,7 +195,16 @@ def _parse_gg_mac(text: str) -> GgMac:
         p, sigma, h1, h2 = (float(tok) for tok in parts)
     except ValueError:
         raise ParseError(f"--gg expects four numbers, got {text!r}")
-    return GgMac(p, sigma, h1, h2)
+    return _checked(GgMac, "--gg", p, sigma, h1, h2)
+
+
+def _checked(make, where: str, *args, **kwargs):
+    """make(*args, **kwargs), with a value it rejects reported as a
+    ParseError against where: a config file or a command-line option."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ParseError(str(e), path=where) from None
 
 
 def cmd_classify(args) -> int:
@@ -233,9 +243,8 @@ def cmd_exponent(args) -> int:
             f"face={res.face} of {np.count_nonzero(problem.q.probs)} cells",
             file=sys.stderr,
         )
-    theta = class_exponent(cls, problem.p, problem.q, projection=res)
-    print(f"exponent: {theta:.6f}")
-    print(f"exponent_nats: {theta!r}")
+    print(f"exponent: {res.value:.6f}")
+    print(f"exponent_nats: {res.value!r}")
     print("minimizer (u1 u2 v probability):")
     arg = res.argmin
     for a in range(arg.shape[0]):
@@ -272,6 +281,8 @@ def _resolve_scheme(requested: str, channel, path: str) -> ChannelClass:
 
 
 def cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise ParseError("must be >= 1", path="--workers")
     cfg_path = Path(args.config)
     cfg = load_config(cfg_path)
     base = cfg_path.parent
@@ -283,12 +294,9 @@ def cmd_simulate(args) -> int:
     if kind == "dmmac":
         channel = load_dmmac(base / _require(cfg, "channel.file", spath))
     elif kind == "gg":
-        channel = GgMac(
-            _as_float(cfg, "gg.p", spath),
-            _as_float(cfg, "gg.sigma", spath),
-            _as_float(cfg, "gg.h1", spath),
-            _as_float(cfg, "gg.h2", spath),
-        )
+        channel = _checked(GgMac, spath, *(
+            _as_float(cfg, f"gg.{key}", spath) for key in ("p", "sigma", "h1", "h2")
+        ))
     else:
         raise ParseError(
             f"channel.kind must be dmmac or gg, got {kind!r}", path=spath
@@ -306,11 +314,12 @@ def cmd_simulate(args) -> int:
     if cls is not ChannelClass.FULL:
         law_name = cfg.get("cost.law", "power")
         if law_name == "power":
-            law = BudgetLaw.power(
-                _as_float(cfg, "cost.a", spath), _as_float(cfg, "cost.b", spath)
+            law = _checked(
+                BudgetLaw.power, spath,
+                _as_float(cfg, "cost.a", spath), _as_float(cfg, "cost.b", spath),
             )
         elif law_name == "log":
-            law = BudgetLaw.log(_as_float(cfg, "cost.a", spath))
+            law = _checked(BudgetLaw.log, spath, _as_float(cfg, "cost.a", spath))
         else:
             raise ParseError(
                 f"cost.law must be power or log, got {law_name!r}", path=spath
@@ -327,7 +336,8 @@ def cmd_simulate(args) -> int:
             path=spath,
         )
 
-    sim = SimConfig(
+    sim = _checked(
+        SimConfig, spath,
         n_ladder=ladder,
         trials=_as_int(cfg, "sim.trials", spath),
         master_seed=_as_int(cfg, "sim.seed", spath),

@@ -162,15 +162,20 @@ def empirical_type(seq, alphabet_size: int) -> SequenceType:
 
 
 def is_strongly_typical(seq, p: Pmf, mu: float) -> bool:
-    """Strong typicality: every symbol frequency within mu of its
-    probability, and symbols of probability zero never occur."""
+    """Strong typicality of one sequence; see typical_counts."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
     t = empirical_type(seq, p.alphabet_size)
-    pi = t.empirical()
-    if np.any(pi[p.probs == 0] > 0):
-        return False
-    return bool(np.all(np.abs(pi - p.probs) <= mu))
+    return bool(typical_counts(t.counts, p, mu, t.n))
+
+
+def typical_counts(counts: np.ndarray, p: Pmf, mu: float, n: int) -> np.ndarray:
+    """Strong typicality of length-n sequences from their symbol counts
+    (last axis): every symbol frequency counts / n within mu of its
+    probability, and symbols of probability zero never occur."""
+    within = np.all(np.abs(counts / n - p.probs) <= mu, axis=-1)
+    zeros_ok = np.all(counts[..., p.probs == 0] == 0, axis=-1)
+    return within & zeros_ok
 
 
 def sample_iid(dist, n: int, rng_state):

@@ -27,7 +27,7 @@ from .channels import (
     verify_markers,
 )
 from .errors import BlocklengthTooSmall, CostBudgetExceeded, MarkerMismatch
-from .exponents import IProjectionResult, local_stein_exponent, min_kl_fixed_marginals
+from .exponents import IProjectionResult, min_kl_fixed_marginals
 from .prob import Joint3Pmf, Pmf, is_strongly_typical, marginal, require_length
 
 
@@ -63,7 +63,6 @@ class Scheme:
     ref_u1: Pmf | None = None
     ref_u2: Pmf | None = None
     markers: MarkerSet | None = None
-    budget: CostBudget | None = None
     p_marker1: float | None = None
     p_marker2: float | None = None
 
@@ -74,6 +73,11 @@ class Scheme:
     @property
     def signals2(self) -> bool:
         return 2 in self.cls.signalling
+
+    def ref(self, axis: int) -> Pmf | None:
+        """Reference pmf of an axis (0: u1, 1: u2, 2: v); None for the
+        observation of a sensor that does not signal."""
+        return (self.ref_u1, self.ref_u2, self.ref_v)[axis]
 
     def _block(self, sensor: int) -> slice:
         start = self.k * self.cls.signalling.index(sensor)
@@ -86,7 +90,7 @@ class Scheme:
             w = self.markers.witness(s)
             if s != sensor:
                 x[self._block(s)] = w.partner_pilot
-            elif is_strongly_typical(u, self.ref_u1 if s == 1 else self.ref_u2, self.mu):
+            elif is_strongly_typical(u, self.ref(s - 1), self.mu):
                 x[self._block(s)] = w.on_input
             else:
                 x[self._block(s)] = w.off_input
@@ -175,7 +179,6 @@ def _marker_scheme(cls, ch, markers, budget, mu, p_u1, p_u2, p_v) -> Scheme:
         ref_v=_as_pmf(p_v, "p_v"),
         markers=MarkerSet(*(markers.witness(s) if s in cls.signalling else None
                             for s in (1, 2))),
-        budget=budget,
         **per_sensor,
     )
 
@@ -261,33 +264,21 @@ def pinned_axes(cls: ChannelClass) -> tuple:
     return (*(s - 1 for s in cls.signalling), 2)
 
 
-def class_projection(cls: ChannelClass, p, q, tol: float = 1e-10) -> IProjectionResult:
+def class_projection(cls: ChannelClass, p, q) -> IProjectionResult:
     """I-projection of q onto the joints that share p's marginals on the
-    class's pinned axes. Its minimizer is the source joint that dominates
-    the type-2 error."""
+    class's pinned axes. Its value is the type-2 exponent the class's
+    scheme achieves, and its minimizer is the source joint that dominates
+    the type-2 error. The full class pins only V, so one sweep solves it
+    exactly: R = Q P_V / Q_V, whose value is D(P_V || Q_V)."""
     pj = p if isinstance(p, Joint3Pmf) else Joint3Pmf(p)
     cons = {axis: marginal(pj, axis) for axis in pinned_axes(cls)}
-    return min_kl_fixed_marginals(_joint_array(q), cons, tol=tol)
+    return min_kl_fixed_marginals(_joint_array(q), cons)
 
 
-def class_exponent(
-    cls: ChannelClass, p, q, tol: float = 1e-10,
-    projection: IProjectionResult | None = None,
-) -> float:
-    """Type-2 exponent the class's scheme achieves against (p, q).
-
-    Full connectivity pins only the V marginal, where the exponent is the
-    closed form D(p_V || q_V); each toggle a class adds pins that sensor's
-    marginal too, and the exponent is the value of class_projection. A
-    caller that already holds that projection passes it, so nothing is
-    solved twice.
-    """
-    if cls is ChannelClass.FULL:
-        pa, qa = _joint_array(p), _joint_array(q)
-        return local_stein_exponent(marginal(pa, 2), marginal(qa, 2))
-    if projection is None:
-        projection = class_projection(cls, p, q, tol)
-    return projection.value
+def class_exponent(cls: ChannelClass, p, q) -> float:
+    """Type-2 exponent the class's scheme achieves against (p, q): the
+    value of class_projection."""
+    return class_projection(cls, p, q).value
 
 
 # --- derandomization ---

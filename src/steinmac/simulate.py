@@ -33,8 +33,9 @@ from .errors import (
     ZeroTiltOnSupport,
 )
 from .exponents import min_kl_fixed_marginals
-from .prob import Joint3Pmf, quantile_map
-from .schemes import Scheme, build_scheme_for_class, class_exponent, pinned_axes
+from .prob import Joint3Pmf, quantile_map, typical_counts as _typicality_flags
+from .schemes import class_exponent  # noqa: F401  (bench traces it by name)
+from .schemes import Scheme, build_scheme_for_class, class_projection, pinned_axes
 
 _BLOCK = 2048
 _MAX_STATES = 4_000_000  # marginal-count lattice states of an exact run
@@ -170,20 +171,14 @@ def _map_blocks(trials: int, seed, workers: int, block_fn) -> list:
     return [block_fn(s, c) for s, c in zip(seeds, counts)]
 
 
-def _refs(scheme: Scheme) -> dict:
-    """Reference pmf of each axis, by axis number."""
-    return {0: scheme.ref_u1, 1: scheme.ref_u2, 2: scheme.ref_v}
-
-
 def _read_flags(counts: np.ndarray, dims, scheme: Scheme) -> dict:
     """Typicality flag of every axis the rule reads, per row of counts."""
     per_axis = counts.reshape(-1, *dims)
-    refs = _refs(scheme)
     flags = {}
     for axis in pinned_axes(scheme.cls):
         other = tuple(1 + a for a in range(3) if a != axis)
         flags[axis] = _typicality_flags(
-            per_axis.sum(axis=other), refs[axis], scheme.mu, scheme.n
+            per_axis.sum(axis=other), scheme.ref(axis), scheme.mu, scheme.n
         )
     return flags
 
@@ -274,13 +269,6 @@ def run_trials(
 # --- exact error probabilities ---
 
 
-def _typicality_flags(counts: np.ndarray, ref, mu: float, n: int) -> np.ndarray:
-    pi = counts / n
-    within = np.all(np.abs(pi - ref.probs) <= mu, axis=1)
-    zeros_ok = np.all(counts[:, ref.probs == 0] == 0, axis=1)
-    return within & zeros_ok
-
-
 def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     """P(decide 0) when the source triple is iid from `joint`.
 
@@ -298,12 +286,11 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     axes = pinned_axes(scheme.cls)
     drop = tuple(a for a in range(3) if a not in axes)
     reduced = joint.probs.sum(axis=drop) if drop else joint.probs
-    refs = _refs(scheme)
     n, mu = scheme.n, scheme.mu
 
     free, dim_of, caps = [], [], []  # per read axis; caps per lattice dim
     for axis in axes:
-        ref = refs[axis].probs
+        ref = scheme.ref(axis).probs
         free.append(int(np.argmax(ref)))
         dim_of.append({})
         for s in range(ref.size):
@@ -351,11 +338,12 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     grid = np.ix_(*(np.arange(size) for size in lat.shape))  # count per dim
     flags = {}
     for axis, f, dims in zip(axes, free, dim_of):
-        cols = [grid[dims[s]] if s in dims else 0 for s in range(refs[axis].probs.size)]
+        ref = scheme.ref(axis)
+        cols = [grid[dims[s]] if s in dims else 0 for s in range(ref.alphabet_size)]
         cols[f] = n - sum(grid[d] for d in dims.values())
         cols = np.broadcast_arrays(*cols)
         counts = np.stack(cols, axis=-1).reshape(-1, len(cols))
-        flags[axis] = _typicality_flags(counts, refs[axis], mu, n).reshape(cols[0].shape)
+        flags[axis] = _typicality_flags(counts, ref, mu, n).reshape(cols[0].shape)
     total = float(np.sum(lat * scheme.accept_weights(flags)))
     return math.ldexp(total, exp2)
 
@@ -381,10 +369,14 @@ def exact_error_probs(problem: TestProblem, channel, scheme: Scheme, n: int) -> 
 def default_tilt(problem: TestProblem, scheme: Scheme) -> Joint3Pmf:
     """I-projection of Q onto the scheme's pinned marginals: the source
     distribution that dominates the type-2 error event."""
-    refs = _refs(scheme)
-    cons = {axis: refs[axis] for axis in pinned_axes(scheme.cls)}
-    res = min_kl_fixed_marginals(problem.q.probs, cons)
-    argmin = np.maximum(res.argmin, 0.0)
+    cons = {axis: scheme.ref(axis) for axis in pinned_axes(scheme.cls)}
+    return _as_tilt(min_kl_fixed_marginals(problem.q.probs, cons).argmin)
+
+
+def _as_tilt(argmin: np.ndarray) -> Joint3Pmf:
+    """An I-projection minimizer as a sampling pmf: rounding residue below
+    zero is clipped and the rest renormalised."""
+    argmin = np.maximum(argmin, 0.0)
     return Joint3Pmf(argmin / argmin.sum())
 
 
@@ -396,10 +388,9 @@ def _check_tilt(problem: TestProblem, scheme: Scheme, tilt: Joint3Pmf) -> None:
     ta = tilt.probs
     if ta.shape != qa.shape:
         raise ValueError(f"tilt dims {ta.shape} do not match problem dims {qa.shape}")
-    refs = _refs(scheme)
     for cell in zip(*np.nonzero((ta == 0) & (qa > 0))):
         cell = tuple(int(i) for i in cell)
-        if not any(refs[axis].probs[cell[axis]] == 0 for axis in pinned_axes(scheme.cls)):
+        if not any(scheme.ref(a).probs[cell[a]] == 0 for a in pinned_axes(scheme.cls)):
             raise ZeroTiltOnSupport(
                 f"tilt is zero at cell {cell} where Q is positive and "
                 "acceptance is possible"
@@ -456,15 +447,11 @@ def importance_sample_beta(
 
     tilt_flat = tilt.probs.ravel()
     q_flat = problem.q.probs.ravel()
-    with np.errstate(divide="ignore"):
-        log_ratio = np.where(
-            tilt_flat > 0,
-            np.log(np.where(q_flat > 0, q_flat, 1.0))
-            - np.log(np.where(tilt_flat > 0, tilt_flat, 1.0)),
-            0.0,
-        )
-        # a tilt-sampled cell outside Q's support contributes weight zero
-        log_ratio = np.where((tilt_flat > 0) & (q_flat == 0), -np.inf, log_ratio)
+    # a tilt-sampled cell outside Q's support contributes weight zero (-inf);
+    # a cell the tilt never samples contributes nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(q_flat) - np.log(tilt_flat)
+    log_ratio[tilt_flat == 0] = 0.0
 
     results = _map_blocks(trials, seed, workers, lambda seed_seq, count: _is_block(
         problem, scheme, tilt_flat, log_ratio, seed_seq, count
@@ -534,7 +521,12 @@ def _ls_slope(pts) -> float:
 def run_ladder(problem: TestProblem, channel, cls, config: SimConfig) -> SimReport:
     """Build the class's scheme at every blocklength of the ladder, estimate
     both error probabilities with the configured estimator, then fit the
-    empirical type-2 exponent and attach the theoretical one."""
+    empirical type-2 exponent and attach the theoretical one.
+
+    The class's I-projection is solved once: its value is the theoretical
+    exponent, and its minimizer tilts every importance-sampling rung."""
+    projection = class_projection(cls, problem.p, problem.q)
+    tilt = _as_tilt(projection.argmin)
     points = []
     for n in config.n_ladder:
         dm = channel if isinstance(channel, Dmmac) else None
@@ -555,7 +547,7 @@ def run_ladder(problem: TestProblem, channel, cls, config: SimConfig) -> SimRepo
             )
         else:
             beta = importance_sample_beta(
-                problem, channel, scheme, n, config.trials,
+                problem, channel, scheme, n, config.trials, tilt=tilt,
                 seed=(config.master_seed, n, 1), workers=config.workers,
             )
             beta_hat = beta[0]
@@ -573,5 +565,4 @@ def run_ladder(problem: TestProblem, channel, cls, config: SimConfig) -> SimRepo
             fitted = fit_exponent([(pt.n, pt.beta_hat) for pt in points])
         except DegenerateFit:
             fitted = None
-    theoretical = class_exponent(cls, problem.p, problem.q)
-    return SimReport(tuple(points), fitted, theoretical, config.master_seed)
+    return SimReport(tuple(points), fitted, projection.value, config.master_seed)

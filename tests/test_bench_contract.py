@@ -34,3 +34,49 @@ def test_tracer_sites_resolve_and_restore(monkeypatch):
         assert getattr(importlib.import_module(module), attr) is fn, (module, attr)
     for attr, fn in methods.items():
         assert Scheme.__dict__[attr] is fn, attr
+
+
+NOISY = "2 2 3\n0.6 0.4 0\n0 0.7 0.3\n0 0.5 0.5\n0 0.1 0.9\n"
+PROBLEM = (
+    "2 2 2\n0.10 0.06\n0.12 0.08\n0.20 0.09\n0.23 0.12\n\n"
+    "0.15 0.10\n0.10 0.05\n0.15 0.10\n0.20 0.15\n"
+)
+
+
+def test_traced_calls_bind_their_arguments(monkeypatch, tmp_path, capsys):
+    # the info functions bind n, trials, sides, scheme and problem by
+    # parameter name, so a renamed or dropped parameter fails only here
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    from steinmac import cli
+
+    (tmp_path / "noisy.kernel").write_text(NOISY)
+    (tmp_path / "frozen.problem").write_text(PROBLEM)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for estimator in ("exact", "direct", "importance"):
+            cfg = tmp_path / f"{estimator}.cfg"
+            cfg.write_text(
+                "problem = frozen.problem\nchannel.kind = dmmac\n"
+                "channel.file = noisy.kernel\ncost.a = 1\ncost.b = 0.5\n"
+                "sim.trials = 200\nsim.seed = 9\nsim.mu = 0.2\n"
+                f"sim.ladder = 8,12,16\nestimator = {estimator}\n"
+                f"out = {estimator}.csv\n"
+            )
+            assert cli.main(["simulate", str(cfg)]) == 0
+        argv = ["exponent", str(tmp_path / "frozen.problem"),
+                "--channel", str(tmp_path / "noisy.kernel")]
+        assert tracer.span("cli.exponent", cli.main, argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    assert [s for s in tracer.spans if s[6] is not None] == []
+    names = {s[2] for s in tracer.spans}
+    for name in ("simulate.run_trials", "simulate.importance_sample_beta",
+                 "simulate.exact_error_probs", "schemes.build_scheme_for_class"):
+        assert name in names, name
+    metrics = tracing.per_layer_metrics(tracer.spans, 1, "cli.exponent")
+    assert metrics["exponents.min_kl_fixed_marginals.calls_per_exponent"] == 1.0

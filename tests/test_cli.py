@@ -416,6 +416,29 @@ class TestSimulate:
             assert err.startswith("error:")
 
 
+class TestOutOfRangeValues:
+    """A value the library rejects as out of range is one error line that
+    names where it came from, never a traceback."""
+
+    @pytest.mark.parametrize("overrides, argv, where", [
+        ({"sim.mu": "2"}, ["simulate", "{cfg}"], "{cfg}"),
+        ({"sim.trials": "0"}, ["simulate", "{cfg}"], "{cfg}"),
+        ({"sim.ladder": "30,20,10"}, ["simulate", "{cfg}"], "{cfg}"),
+        ({"cost.b": "1.5"}, ["simulate", "{cfg}"], "{cfg}"),
+        ({"channel.kind": "gg", "channel.file": None, "gg.p": "-1", "gg.sigma": "1",
+          "gg.h1": "1", "gg.h2": "1"}, ["simulate", "{cfg}"], "{cfg}"),
+        ({}, ["exponent", "{problem}", "--gg", "0,1,1,1"], "--gg"),
+        ({}, ["simulate", "{cfg}", "--workers", "0"], "--workers"),
+    ])
+    def test_out_of_range_value_is_one_error_line(self, run, workdir, overrides, argv, where):
+        names = dict(cfg=write_sim_config(workdir, **overrides),
+                     problem=workdir / "uniform.problem")
+        code, _, err = run(*(a.format(**names) for a in argv))
+        assert code == 1
+        assert err.startswith(f"error: {where.format(**names)}: ")
+        assert len(err.splitlines()) == 1
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 

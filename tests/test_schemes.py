@@ -23,6 +23,7 @@ from steinmac.errors import (
     LengthMismatch,
     MarkerMismatch,
 )
+from steinmac.exponents import local_stein_exponent
 from steinmac.prob import Pmf, kl_divergence, marginal
 from steinmac.schemes import (
     RandomizedDecider,
@@ -31,6 +32,7 @@ from steinmac.schemes import (
     build_marker_scheme,
     build_scheme_for_class,
     class_exponent,
+    class_projection,
     derandomize,
     gamma_schedule,
 )
@@ -508,6 +510,18 @@ class TestClassExponent:
             assert full <= fs + 1e-9
             assert sf <= sp + 1e-9
             assert fs <= sp + 1e-9
+
+    def test_full_class_is_one_exact_sweep(self):
+        # only V is pinned, so R = Q P_V / Q_V solves it in one sweep
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(12)).reshape(2, 3, 2)
+            q = rng.dirichlet(np.ones(12)).reshape(2, 3, 2)
+            p_v, q_v = marginal(p, 2).probs, marginal(q, 2).probs
+            res = class_projection(ChannelClass.FULL, p, q)
+            assert res.iterations == 1
+            assert abs(res.value - local_stein_exponent(p_v, q_v)) <= 1e-12
+            np.testing.assert_allclose(res.argmin, q * p_v / q_v, rtol=0, atol=1e-15)
 
     def test_identical_hypotheses_give_zero(self):
         p = np.full((2, 2, 2), 0.125)

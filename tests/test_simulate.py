@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinmac import schemes, simulate
 from steinmac.channels import BudgetLaw, ChannelClass, CostModel, Dmmac, GgMac
 from steinmac.errors import (
     AbsoluteContinuityViolation,
@@ -63,6 +64,25 @@ def sparse_channel():
     k[1, 0] = [0.0, 0.5, 0.5]
     k[1, 1] = [0.0, 0.1, 0.9]
     return Dmmac(k)
+
+
+def criterion_09(ladder, trials, estimator="importance"):
+    """Sparse adder channel, null uniform on u1 = 1, and an alternative with
+    correlated (u2, v): the criterion-09 achievability instance."""
+    p = np.zeros((2, 2, 2))
+    p[1] = 0.25
+    q23 = np.array([[0.35, 0.15], [0.15, 0.35]])
+    problem = TestProblem(Joint3Pmf(p), Joint3Pmf(np.stack([0.5 * q23] * 2)))
+    adder = np.zeros((2, 2, 4))
+    for a in range(2):
+        for b in range(2):
+            adder[a, b, a + b : a + b + 2] = 0.5
+    config = SimConfig(
+        n_ladder=ladder, trials=trials, master_seed=7, mu=0.05,
+        cost_model=CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5)),
+        estimator=estimator,
+    )
+    return problem, Dmmac(adder), config
 
 
 def sparse_fixture(n=8):
@@ -492,20 +512,8 @@ class TestImportanceSampling:
     def test_interval_survives_variance_underflow(self):
         # criterion-09 instance: beta(800) is near 1e-241, so its variance
         # (near 1e-484) is below the smallest double while the SE is not
-        p = np.zeros((2, 2, 2))
-        p[1] = 0.25
-        q23 = np.array([[0.35, 0.15], [0.15, 0.35]])
-        problem = TestProblem(Joint3Pmf(p), Joint3Pmf(np.stack([0.5 * q23] * 2)))
-        adder = np.zeros((2, 2, 4))
-        for a in range(2):
-            for b in range(2):
-                adder[a, b, a + b : a + b + 2] = 0.5
-        config = SimConfig(
-            n_ladder=(800,), trials=4096, master_seed=7, mu=0.05,
-            cost_model=CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5)),
-            estimator="importance",
-        )
-        report = run_ladder(problem, Dmmac(adder), ChannelClass.SPARSE, config)
+        problem, ch, config = criterion_09((800,), 4096)
+        report = run_ladder(problem, ch, ChannelClass.SPARSE, config)
         pt = report.points[0]
         assert pt.beta_hat < 1e-200
         assert pt.beta_lo < pt.beta_hat < pt.beta_hi
@@ -520,6 +528,31 @@ class TestImportanceSampling:
         a = importance_sample_beta(problem, ch, scheme, 8, 3000, seed=9, workers=1)
         b = importance_sample_beta(problem, ch, scheme, 8, 3000, seed=9, workers=3)
         assert a == b
+
+
+    def test_ladder_solves_one_projection_and_keeps_the_default_tilt(self, monkeypatch):
+        problem, ch, config = criterion_09((100, 200, 400), 512)
+        solves = []
+        solve = simulate.min_kl_fixed_marginals
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        for module in (schemes, simulate):
+            monkeypatch.setattr(module, "min_kl_fixed_marginals", counted)
+        report = run_ladder(problem, ch, ChannelClass.SPARSE, config)
+        assert len(solves) == 1
+        monkeypatch.undo()
+        for pt in report.points:
+            scheme = build_scheme_for_class(
+                ChannelClass.SPARSE, ch, problem.p, config.cost_model, pt.n, config.mu
+            )
+            beta = importance_sample_beta(
+                problem, ch, scheme, pt.n, config.trials, tilt=None,
+                seed=(config.master_seed, pt.n, 1),
+            )
+            assert pt.beta_hat == beta[0]
 
 
 class TestFitExponent:
