@@ -28,6 +28,7 @@ from .errors import (
     MarkerMismatch,
     NoMarkers,
     OutOfAlphabet,
+    OutOfRange,
     ParseError,
 )
 from .prob import require_length
@@ -216,11 +217,11 @@ class BudgetLaw:
 
     def __post_init__(self):
         if self.kind not in ("power", "log"):
-            raise ValueError(f"unknown budget law {self.kind!r}")
-        if self.a <= 0:
-            raise ValueError("budget coefficient a must be positive")
+            raise OutOfRange("kind", f"must be power or log, got {self.kind!r}")
+        if not (0 < self.a < math.inf):
+            raise OutOfRange("a", "must be finite and positive")
         if self.kind == "power" and not (0 < self.b < 1):
-            raise ValueError("power-law exponent must satisfy 0 < b < 1")
+            raise OutOfRange("b", "must satisfy 0 < b < 1 for a power law")
 
     def gamma(self, n: int) -> float:
         if n < 1:
@@ -351,11 +352,12 @@ class GgMac:
 
     def __post_init__(self):
         if not (self.p > 0):
-            raise ValueError("shape p must be positive")
+            raise OutOfRange("p", "must be positive")
         if not (self.sigma > 0):
-            raise ValueError("scale sigma must be positive")
-        if self.h1 == 0 or self.h2 == 0:
-            raise ValueError("channel gains must be nonzero")
+            raise OutOfRange("sigma", "must be positive")
+        for gain in ("h1", "h2"):
+            if getattr(self, gain) == 0:
+                raise OutOfRange(gain, "must be nonzero")
 
 
 def gg_constant(p: float) -> float:
@@ -454,7 +456,75 @@ def gg_dn_tail(
     return int(np.count_nonzero(2 * mac.sigma**mac.p * g > bound.nu)) / trials
 
 
-# --- kernel file format ---
+# --- table files: kernels and problems ---
+
+
+def _read_file(path, kind: str) -> str:
+    """The text of an input file; an unreadable one is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {kind} file: {e}", path=str(path))
+
+
+def _read_table(text: str, path):
+    """The grammar of kernel and problem files: ``#`` lines are comments,
+    the first other line holds three alphabet sizes (integers >= 1, ``2``
+    or ``2.0``), and each later nonblank line is a row of numbers. Returns
+    the sizes and the rows split into blocks at blank lines, each block a
+    flat list of its values and a list of (line number, values) rows.
+    """
+    dims = None
+    blocks: list = []
+    values = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            values = None  # the next row opens a new block
+            continue
+        if line[0] == "#":
+            continue
+        try:
+            row = [float(tok) for tok in line.split()]
+        except ValueError:
+            raise ParseError(f"expected numbers, got {line!r}", path, lineno)
+        if dims is None:
+            # is_integer() is False for nan and inf, so int() cannot overflow
+            if len(row) != 3 or not all(v.is_integer() and v >= 1 for v in row):
+                raise ParseError("dims line must hold three integers >= 1", path, lineno)
+            dims = tuple(int(v) for v in row)
+            continue
+        if values is None:
+            values, rows = [], []
+            blocks.append((values, rows))
+        values.extend(row)
+        rows.append((lineno, row))
+    if dims is None:
+        raise ParseError("no dims line", path=path)
+    return dims, blocks
+
+
+def _unit_rows(rows: list, width: int, path, name) -> np.ndarray:
+    """The (line, values) rows as one array, each renormalised to unit mass.
+
+    Every row must hold `width` entries, be nonnegative and sum to 1 within
+    1e-9 (NaN fails the sum test). name(i) names row i in an error.
+    """
+    for i, (line, values) in enumerate(rows):
+        if len(values) != width:
+            raise ParseError(f"{name(i)} has {len(values)} entries, needs {width}",
+                             path, line)
+    arr = np.array([values for _, values in rows], dtype=float)
+    totals = arr.sum(axis=1)
+    ok = (arr >= 0).all(axis=1) & (np.abs(totals - 1.0) <= _FILE_ROW_TOL)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if (arr[i] < 0).any():
+            raise ParseError(f"{name(i)} has negative entries", path, rows[i][0])
+        raise ParseError(f"{name(i)} sums to {float(totals[i])!r}, not 1",
+                         path, rows[i][0])
+    return arr / totals[:, None]
 
 
 def parse_dmmac(text: str, path=None) -> Dmmac:
@@ -464,52 +534,15 @@ def parse_dmmac(text: str, path=None) -> Dmmac:
     Rows may be off by up to 1e-9 from unit mass (they are renormalized to
     satisfy the stricter in-memory invariant); anything worse is an error.
     """
-    lines = text.splitlines()
-    entries = []
-    for i, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        entries.append((i, stripped))
-    if not entries:
-        raise ParseError("empty kernel file", path=path)
-    ln, dims_line = entries[0]
-    parts = dims_line.split()
-    if len(parts) != 3:
-        raise ParseError(f"expected three alphabet sizes, got {len(parts)}", path, ln)
-    try:
-        nx1, nx2, ny = (int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"alphabet sizes must be integers: {dims_line!r}", path, ln)
-    if min(nx1, nx2, ny) < 1:
-        raise ParseError("alphabet sizes must be >= 1", path, ln)
-    rows = entries[1:]
+    (nx1, nx2, ny), blocks = _read_table(text, path)
+    rows = [row for _, block_rows in blocks for row in block_rows]
     if len(rows) != nx1 * nx2:
-        raise ParseError(
-            f"expected {nx1 * nx2} kernel rows, found {len(rows)}", path, ln
-        )
-    kernel = np.empty((nx1, nx2, ny))
-    for idx, (ln, row) in enumerate(rows):
-        vals = row.split()
-        if len(vals) != ny:
-            raise ParseError(f"expected {ny} probabilities, got {len(vals)}", path, ln)
-        try:
-            probs = np.array([float(v) for v in vals])
-        except ValueError:
-            raise ParseError(f"non-numeric probability in row: {row!r}", path, ln)
-        if np.any(probs < 0):
-            raise ParseError("negative probability", path, ln)
-        total = probs.sum()
-        if abs(total - 1.0) > _FILE_ROW_TOL:
-            raise ParseError(
-                f"row for (x1={idx // nx2}, x2={idx % nx2}) sums to {total!r}",
-                path,
-                ln,
-            )
-        kernel[idx // nx2, idx % nx2] = probs / total
-    return Dmmac(kernel)
+        raise ParseError(f"expected {nx1 * nx2} kernel rows, found {len(rows)}", path)
+    kernel = _unit_rows(
+        rows, ny, path, lambda i: f"row for (x1={i // nx2}, x2={i % nx2})"
+    )
+    return Dmmac(kernel.reshape(nx1, nx2, ny))
 
 
 def load_dmmac(path) -> Dmmac:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_dmmac(fh.read(), path=str(path))
+    return parse_dmmac(_read_file(path, "kernel"), path=str(path))

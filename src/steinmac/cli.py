@@ -29,11 +29,14 @@ from .channels import (
     CostModel,
     Dmmac,
     GgMac,
+    _read_file,
+    _read_table,
+    _unit_rows,
     classify,
     find_markers,
     load_dmmac,
 )
-from .errors import NoMarkers, ParseError, SteinmacError
+from .errors import NoMarkers, OutOfRange, ParseError, SteinmacError
 from .exponents import min_kl_fixed_marginals  # noqa: F401  (bench traces it by name)
 from .prob import Joint3Pmf
 from .schemes import class_exponent  # noqa: F401  (bench traces it by name)
@@ -45,106 +48,36 @@ _SCHEME_CHOICES = ("auto", "local", "sparse", "sparse_full", "full_sparse")
 
 def load_problem(path) -> TestProblem:
     """Parse a problem file into a TestProblem; errors carry line numbers."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise ParseError(f"cannot read problem file: {e}", path=str(path))
-
-    dims = None
-    tensors: list[list[float]] = [[]]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            continue
-        if not line:
-            if dims is not None and tensors[-1]:
-                tensors.append([])
-            continue
-        parts = line.split()
-        try:
-            values = [float(tok) for tok in parts]
-        except ValueError:
-            raise ParseError(
-                f"expected numbers, got {line!r}", path=str(path), line=lineno
-            )
-        if dims is None:
-            if len(parts) != 3:
-                raise ParseError(
-                    "dims line must hold three alphabet sizes",
-                    path=str(path),
-                    line=lineno,
-                )
-            dims = tuple(int(v) for v in values)
-            if any(d != v for d, v in zip(dims, values)) or any(d < 1 for d in dims):
-                raise ParseError(
-                    "alphabet sizes must be positive integers",
-                    path=str(path),
-                    line=lineno,
-                )
-            continue
-        tensors[-1].extend(values)
-
-    if dims is None:
-        raise ParseError("empty problem file", path=str(path))
-    tensors = [t for t in tensors if t]
-    if len(tensors) != 2:
+    dims, blocks = _read_table(_read_file(path, "problem"), str(path))
+    if len(blocks) != 2:
         raise ParseError(
             f"expected P and Q tensors separated by a blank line, found "
-            f"{len(tensors)} block(s)",
+            f"{len(blocks)} block(s)",
             path=str(path),
         )
-    size = dims[0] * dims[1] * dims[2]
-    grids = []
-    for name, flat in zip("PQ", tensors):
-        if len(flat) != size:
-            raise ParseError(
-                f"tensor {name} has {len(flat)} entries, needs {size}",
-                path=str(path),
-            )
-        arr = np.array(flat, dtype=float).reshape(dims)
-        if (arr < 0).any():
-            raise ParseError(
-                f"tensor {name} has negative entries", path=str(path)
-            )
-        total = arr.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ParseError(
-                f"tensor {name} sums to {total!r}, not 1", path=str(path)
-            )
-        grids.append(arr / total)
-    return TestProblem(Joint3Pmf(grids[0]), Joint3Pmf(grids[1]))
+    p, q = _unit_rows(
+        [(None, flat) for flat, _ in blocks], dims[0] * dims[1] * dims[2],
+        str(path), lambda i: "tensor " + "PQ"[i],
+    )
+    return TestProblem(Joint3Pmf(p.reshape(dims)), Joint3Pmf(q.reshape(dims)))
 
 
+# every config key, with the constructor parameter it is read into where a
+# range error should name the key
 _CONFIG_KEYS = {
-    "problem",
-    "channel.kind",
-    "channel.file",
-    "gg.p",
-    "gg.sigma",
-    "gg.h1",
-    "gg.h2",
-    "cost.a",
-    "cost.b",
-    "cost.law",
-    "sim.trials",
-    "sim.seed",
-    "sim.mu",
-    "sim.ladder",
-    "scheme",
-    "estimator",
-    "out",
+    "problem": None, "channel.kind": None, "channel.file": None, "cost.law": None,
+    "scheme": None, "estimator": "estimator", "out": None,
+    "gg.p": "p", "gg.sigma": "sigma", "gg.h1": "h1", "gg.h2": "h2",
+    "cost.a": "a", "cost.b": "b", "sim.trials": "trials", "sim.seed": "master_seed",
+    "sim.mu": "mu", "sim.ladder": "n_ladder",
 }
+_KEY_OF = {field: key for key, field in _CONFIG_KEYS.items() if field}
 
 
 def load_config(path) -> dict:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise ParseError(f"cannot read config file: {e}", path=str(path))
     cfg: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_file(path, "config").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -195,16 +128,18 @@ def _parse_gg_mac(text: str) -> GgMac:
         p, sigma, h1, h2 = (float(tok) for tok in parts)
     except ValueError:
         raise ParseError(f"--gg expects four numbers, got {text!r}")
-    return _checked(GgMac, "--gg", p, sigma, h1, h2)
+    return _checked(GgMac, "--gg", {}, p, sigma, h1, h2)
 
 
-def _checked(make, where: str, *args, **kwargs):
+def _checked(make, where: str, keys: dict, *args, **kwargs):
     """make(*args, **kwargs), with a value it rejects reported as a
-    ParseError against where: a config file or a command-line option."""
+    ParseError against where, a config file or a command-line option, and
+    named by its key in keys."""
     try:
         return make(*args, **kwargs)
-    except ValueError as e:
-        raise ParseError(str(e), path=where) from None
+    except OutOfRange as e:
+        key = keys.get(e.field, e.field)
+        raise ParseError(f"{key} {e.requirement}", path=where) from None
 
 
 def cmd_classify(args) -> int:
@@ -294,7 +229,7 @@ def cmd_simulate(args) -> int:
     if kind == "dmmac":
         channel = load_dmmac(base / _require(cfg, "channel.file", spath))
     elif kind == "gg":
-        channel = _checked(GgMac, spath, *(
+        channel = _checked(GgMac, spath, _KEY_OF, *(
             _as_float(cfg, f"gg.{key}", spath) for key in ("p", "sigma", "h1", "h2")
         ))
     else:
@@ -315,11 +250,13 @@ def cmd_simulate(args) -> int:
         law_name = cfg.get("cost.law", "power")
         if law_name == "power":
             law = _checked(
-                BudgetLaw.power, spath,
+                BudgetLaw.power, spath, _KEY_OF,
                 _as_float(cfg, "cost.a", spath), _as_float(cfg, "cost.b", spath),
             )
         elif law_name == "log":
-            law = _checked(BudgetLaw.log, spath, _as_float(cfg, "cost.a", spath))
+            law = _checked(
+                BudgetLaw.log, spath, _KEY_OF, _as_float(cfg, "cost.a", spath)
+            )
         else:
             raise ParseError(
                 f"cost.law must be power or log, got {law_name!r}", path=spath
@@ -337,7 +274,7 @@ def cmd_simulate(args) -> int:
         )
 
     sim = _checked(
-        SimConfig, spath,
+        SimConfig, spath, _KEY_OF,
         n_ladder=ladder,
         trials=_as_int(cfg, "sim.trials", spath),
         master_seed=_as_int(cfg, "sim.seed", spath),

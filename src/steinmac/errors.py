@@ -81,6 +81,15 @@ class DegenerateFit(SteinmacError):
         super().__init__(message)
 
 
+class OutOfRange(SteinmacError, ValueError):
+    """A parameter lies outside its range; `field` is the parameter's name."""
+
+    def __init__(self, field, requirement):
+        self.field = field
+        self.requirement = requirement
+        super().__init__(f"{field} {requirement}")
+
+
 class ParseError(SteinmacError, ValueError):
     """A text input (kernel, problem, or config file) is malformed."""
 

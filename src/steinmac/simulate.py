@@ -30,6 +30,7 @@ from .channels import Dmmac, gg_sample  # noqa: F401  (bench traces it by name)
 from .errors import (
     DegenerateFit,
     InstanceTooLarge,
+    OutOfRange,
     ZeroTiltOnSupport,
 )
 from .exponents import min_kl_fixed_marginals
@@ -81,18 +82,20 @@ class SimConfig:
     def __post_init__(self):
         ladder = tuple(int(n) for n in self.n_ladder)
         if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("n_ladder must be a nonempty strictly increasing list")
+            raise OutOfRange("n_ladder", "must be a nonempty strictly increasing list")
         if any(n < 1 for n in ladder):
-            raise ValueError("blocklengths must be >= 1")
+            raise OutOfRange("n_ladder", "must hold blocklengths >= 1")
         object.__setattr__(self, "n_ladder", ladder)
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise OutOfRange("trials", "must be >= 1")
+        if self.master_seed < 0:
+            raise OutOfRange("master_seed", "must be >= 0")
         if self.estimator not in _ESTIMATORS:
-            raise ValueError(f"estimator must be one of {_ESTIMATORS}")
+            raise OutOfRange("estimator", f"must be one of {_ESTIMATORS}")
         if not (0 < self.mu < 1):
-            raise ValueError("mu must lie in (0, 1)")
+            raise OutOfRange("mu", "must lie in (0, 1)")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise OutOfRange("workers", "must be >= 1")
 
 
 @dataclass(frozen=True)

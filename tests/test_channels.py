@@ -483,6 +483,8 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_dmmac(text)
         assert "2" in str(err.value)
+        assert err.value.line == 2
+        assert str(err.value) == "2: row for (x1=0, x2=0) sums to 1.1, not 1"
 
     def test_bad_token(self):
         with pytest.raises(ParseError):
@@ -496,3 +498,12 @@ class TestParsing:
         f = tmp_path / "k.txt"
         f.write_text("1 1 2\n0.25 0.75\n")
         assert load_dmmac(f).dims == (1, 1, 2)
+        with pytest.raises(ParseError, match="cannot read kernel file"):
+            load_dmmac(tmp_path / "missing.txt")
+
+    def test_dims_as_integral_floats(self):
+        # the dims rule problem files share: 2.0 is the alphabet size 2
+        assert parse_dmmac("1.0 1 2e0\n0.25 0.75\n").dims == (1, 1, 2)
+        for dims in ("1.5 1 2", "0 1 2", "inf 1 2", "1 1"):
+            with pytest.raises(ParseError, match="dims line"):
+                parse_dmmac(dims + "\n0.25 0.75\n")

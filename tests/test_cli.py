@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib.metadata
 import io
@@ -7,10 +8,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steinmac
 from steinmac import cli, schemes
@@ -251,8 +255,9 @@ class TestProblemFiles:
         problem = load_problem(f)
         assert float(problem.p.probs.sum()) == pytest.approx(1.0, abs=1e-12)
         f.write_text("1 1 2\n0.5 0.6\n\n0.5 0.5\n")
-        with pytest.raises(ParseError, match="sums to"):
+        with pytest.raises(ParseError, match="sums to") as err:
             load_problem(f)
+        assert str(err.value) == f"{f}: tensor P sums to 1.1, not 1"
 
 
 class TestConfigFiles:
@@ -425,18 +430,88 @@ class TestOutOfRangeValues:
         ({"sim.trials": "0"}, ["simulate", "{cfg}"], "{cfg}"),
         ({"sim.ladder": "30,20,10"}, ["simulate", "{cfg}"], "{cfg}"),
         ({"cost.b": "1.5"}, ["simulate", "{cfg}"], "{cfg}"),
-        ({"channel.kind": "gg", "channel.file": None, "gg.p": "-1", "gg.sigma": "1",
-          "gg.h1": "1", "gg.h2": "1"}, ["simulate", "{cfg}"], "{cfg}"),
+        ({"channel.kind": "gg", "channel.file": None, "gg.sigma": "1",
+          "gg.h1": "1", "gg.h2": "1", "gg.p": "-1"}, ["simulate", "{cfg}"], "{cfg}"),
         ({}, ["exponent", "{problem}", "--gg", "0,1,1,1"], "--gg"),
         ({}, ["simulate", "{cfg}", "--workers", "0"], "--workers"),
+        ({"sim.seed": "-1"}, ["simulate", "{cfg}"], "{cfg}"),
+        ({"cost.a": "nan"}, ["simulate", "{cfg}"], "{cfg}"),
+        ({"cost.a": "inf"}, ["simulate", "{cfg}"], "{cfg}"),
     ])
     def test_out_of_range_value_is_one_error_line(self, run, workdir, overrides, argv, where):
         names = dict(cfg=write_sim_config(workdir, **overrides),
                      problem=workdir / "uniform.problem")
         code, _, err = run(*(a.format(**names) for a in argv))
         assert code == 1
-        assert err.startswith(f"error: {where.format(**names)}: ")
+        # the line names the config key at fault: the last one overridden
+        key = f"{list(overrides)[-1]} " if overrides else ""
+        assert err.startswith(f"error: {where.format(**names)}: {key}")
         assert len(err.splitlines()) == 1
+
+
+class TestMalformedInput:
+    """A malformed input file ends in one error line and exit status 1,
+    never a traceback."""
+
+    @pytest.mark.parametrize("name, text, argv, says", [
+        ("nan.problem", "1 1 2\nnan 0.5\n\n0.5 0.5\n",
+         ["exponent", "{f}", "--gg", "2,1,1,1"], "{f}: tensor P sums to nan, not 1"),
+        ("nan.kernel", "1 1 2\n0.5 nan\n",
+         ["classify", "{f}"], "{f}:2: row for (x1=0, x2=0) sums to nan, not 1"),
+        ("inf.problem", "inf 1 2\n0.5 0.5\n\n0.5 0.5\n",
+         ["exponent", "{f}", "--gg", "2,1,1,1"],
+         "{f}:1: dims line must hold three integers >= 1"),
+    ])
+    def test_non_finite_number(self, run, tmp_path, name, text, argv, says):
+        f = tmp_path / name
+        f.write_text(text)
+        code, out, err = run(*(a.format(f=f) for a in argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: {says.format(f=f)}\n"
+
+    # each input file with the commands that read it
+    COMMANDS = {
+        "frozen.problem": (["exponent", "{problem}", "--channel", "{kernel}"],
+                           ["simulate", "{cfg}"]),
+        "noisy.kernel": (["classify", "{kernel}"],
+                         ["exponent", "{problem}", "--channel", "{kernel}"],
+                         ["simulate", "{cfg}"]),
+        "sim.cfg": (["simulate", "{cfg}"],),
+    }
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_one_edit_is_an_answer_or_one_error_line(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            workdir = Path(d)
+            (workdir / "frozen.problem").write_text(PROBLEM_FROZEN)
+            (workdir / "noisy.kernel").write_text(NOISY)
+            write_sim_config(workdir)
+            name = data.draw(st.sampled_from(sorted(self.COMMANDS)))
+            lines = (workdir / name).read_text().splitlines()
+            edit = data.draw(st.sampled_from(["token", "drop", "duplicate"]))
+            if edit == "token":
+                i = data.draw(st.sampled_from([i for i, t in enumerate(lines) if t]))
+                tokens = lines[i].split()
+                j = data.draw(st.integers(0, len(tokens) - 1))
+                tokens[j] = data.draw(
+                    st.sampled_from(["nan", "inf", "-1", "1e400", "x", "2.5", ""])
+                )
+                lines[i] = " ".join(tokens)
+            else:
+                i = data.draw(st.integers(0, len(lines) - 1))
+                lines[i:i + 1] = [] if edit == "drop" else [lines[i]] * 2
+            (workdir / name).write_text("\n".join(lines) + "\n")
+            argv = data.draw(st.sampled_from(self.COMMANDS[name]))
+            paths = dict(problem=workdir / "frozen.problem",
+                         kernel=workdir / "noisy.kernel", cfg=workdir / "sim.cfg")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([a.format(**paths) for a in argv])
+        assert code in (0, 1)
+        if code == 1:
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("error: ")
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
