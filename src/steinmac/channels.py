@@ -351,13 +351,12 @@ class GgMac:
     h2: float
 
     def __post_init__(self):
-        if not (self.p > 0):
-            raise OutOfRange("p", "must be positive")
-        if not (self.sigma > 0):
-            raise OutOfRange("sigma", "must be positive")
+        for name in ("p", "sigma"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise OutOfRange(name, "must be finite and positive")
         for gain in ("h1", "h2"):
-            if getattr(self, gain) == 0:
-                raise OutOfRange(gain, "must be nonzero")
+            if not (0 < abs(getattr(self, gain)) < math.inf):
+                raise OutOfRange(gain, "must be finite and nonzero")
 
 
 def gg_constant(p: float) -> float:

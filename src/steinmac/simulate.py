@@ -34,7 +34,8 @@ from .errors import (
     ZeroTiltOnSupport,
 )
 from .exponents import min_kl_fixed_marginals
-from .prob import Joint3Pmf, quantile_map, typical_counts as _typicality_flags
+from .prob import Joint3Pmf, typical_counts as _typicality_flags
+from .prob import quantile_map  # noqa: F401  (bench traces it by name)
 from .schemes import class_exponent  # noqa: F401  (bench traces it by name)
 from .schemes import Scheme, build_scheme_for_class, class_projection, pinned_axes
 
@@ -174,36 +175,67 @@ def _map_blocks(trials: int, seed, workers: int, block_fn) -> list:
     return [block_fn(s, c) for s, c in zip(seeds, counts)]
 
 
-def _read_flags(counts: np.ndarray, dims, scheme: Scheme) -> dict:
+def _read_plan(dims, scheme: Scheme) -> tuple:
+    """The 0/1 incidence matrix (cells, symbols) from the joint cells of
+    `dims` to the symbols of every axis the rule reads, and each read
+    axis's slice of its columns. Built once per estimator call. None in
+    place of the identity: when the rule reads one axis and the joint has
+    no other, the cell counts are that axis's counts."""
+    axes = pinned_axes(scheme.cls)
+    cells = math.prod(dims)
+    if len(axes) == 1 and cells == dims[axes[0]]:
+        return None, {axes[0]: slice(None)}
+    symbol = np.unravel_index(np.arange(cells), dims)
+    blocks, columns, start = [], {}, 0
+    for a in axes:
+        blocks.append(np.eye(dims[a])[symbol[a]])
+        columns[a] = slice(start, start + dims[a])
+        start += dims[a]
+    return np.concatenate(blocks, axis=1), columns
+
+
+def _read_flags(counts: np.ndarray, plan: tuple, scheme: Scheme) -> dict:
     """Typicality flag of every axis the rule reads, per row of counts."""
-    per_axis = counts.reshape(-1, *dims)
-    flags = {}
-    for axis in pinned_axes(scheme.cls):
-        other = tuple(1 + a for a in range(3) if a != axis)
-        flags[axis] = _typicality_flags(
-            per_axis.sum(axis=other), scheme.ref(axis), scheme.mu, scheme.n
-        )
-    return flags
+    incidence, columns = plan
+    # exact in floats: every symbol count is an integer <= n < 2**53
+    sums = counts if incidence is None else counts @ incidence
+    return {
+        axis: _typicality_flags(sums[:, cols], scheme.ref(axis), scheme.mu, scheme.n)
+        for axis, cols in columns.items()
+    }
 
 
-def _batch_accept(joint: Joint3Pmf, channel, scheme: Scheme, counts, u_marker):
-    """Decide-0 of every trial: source joint-cell counts (trials, cells),
-    and each signalling sensor's k marker-slot outputs drawn from the
-    kernel row of its on or off input and the partner's pilot with
-    u_marker[i] (trials, k). No other channel output is read, so none is
-    drawn."""
-    flags = _read_flags(counts, joint.dims, scheme)
+def _marker_shown(row: np.ndarray, marker: int, u: np.ndarray) -> np.ndarray:
+    """Whether some slot of each row of u shows the marker output, the slot
+    drawn from the kernel row by inverse cdf: quantile_map(row, u) ==
+    marker exactly when u lies in [cdf[marker - 1], cdf[marker]), open
+    below at the first output and above at the last, as quantile_map
+    clips."""
+    cdf = np.cumsum(row)
+    lo = cdf[marker - 1] if marker > 0 else -np.inf
+    hi = cdf[marker] if marker < row.size - 1 else np.inf
+    return ((u >= lo) & (u < hi)).any(axis=1)
+
+
+def _batch_accept(channel, scheme: Scheme, counts, u_marker, plan):
+    """Decide-0 of every trial, from its source joint-cell counts (trials,
+    cells) and each signalling sensor's marker-slot uniforms u_marker[i]
+    (trials, k). A slot's output is the inverse-cdf draw from the kernel
+    row of the sensor's on or off input and the partner's pilot; the rule
+    reads only whether some slot shows the marker, so that is all that is
+    computed. `plan` is `_read_plan`'s."""
+    flags = _read_flags(counts, plan, scheme)
     accept = flags[2]
     for sensor, u in zip(scheme.cls.signalling, u_marker):
         w = scheme.markers.witness(sensor)
         # marker in some slot if the sensor sends on, if it sends off
-        shown = [(quantile_map(w.row(channel, sensor, x), u) == w.marker_output).any(axis=1)
+        shown = [_marker_shown(w.row(channel, sensor, x), w.marker_output, u)
                  for x in (w.on_input, w.off_input)]
         accept = accept & np.where(flags[sensor - 1], *shown)
     return accept
 
 
-def _direct_block(problem, channel, scheme, seed_seq, count, sides):
+def _direct_block(problem, channel, scheme, plan, seed_seq, count, sides):
     rng = np.random.default_rng(seed_seq)
     # the marker-slot uniforms are drawn before branching on the hypothesis,
     # and each hypothesis's counts are drawn from the same generator state,
@@ -216,7 +248,7 @@ def _direct_block(problem, channel, scheme, seed_seq, count, sides):
         if side in sides:
             rng.bit_generator.state = start
             counts = rng.multinomial(scheme.n, joint.probs.ravel(), size=count)
-            accepted[side] = int(_batch_accept(joint, channel, scheme, counts, u_marker).sum())
+            accepted[side] = int(_batch_accept(channel, scheme, counts, u_marker, plan).sum())
     return count - accepted.get("null", count), accepted.get("alt", 0)
 
 
@@ -258,8 +290,9 @@ def run_trials(
         raise ValueError(f"sides must be a nonempty subset of ('null','alt')")
     if scheme.cls.signalling and not isinstance(channel, Dmmac):
         raise TypeError("marker schemes need a discrete channel kernel")
+    plan = _read_plan(problem.p.dims, scheme)
     results = _map_blocks(trials, seed, workers, lambda seed_seq, count: _direct_block(
-        problem, channel, scheme, seed_seq, count, sides
+        problem, channel, scheme, plan, seed_seq, count, sides
     ))
     rejects, accepts = map(sum, zip(*results))
     a_hat = rejects / trials if "null" in sides else math.nan
@@ -400,12 +433,12 @@ def _check_tilt(problem: TestProblem, scheme: Scheme, tilt: Joint3Pmf) -> None:
             )
 
 
-def _is_block(problem, scheme, tilt_flat, log_ratio, seed_seq, count):
+def _is_block(scheme, plan, tilt_flat, log_ratio, seed_seq, count):
     """Returns (hi, s1, s2): the largest log contribution, and the sums of
     the contributions and of their squares scaled by exp(-hi), exp(-2 hi)."""
     rng = np.random.default_rng(seed_seq)
     counts = rng.multinomial(scheme.n, tilt_flat, size=count)
-    acc = scheme.accept_weights(_read_flags(counts, problem.q.dims, scheme))
+    acc = scheme.accept_weights(_read_flags(counts, plan, scheme))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         contrib = counts @ log_ratio + np.log(acc)
@@ -456,8 +489,9 @@ def importance_sample_beta(
         log_ratio = np.log(q_flat) - np.log(tilt_flat)
     log_ratio[tilt_flat == 0] = 0.0
 
+    plan = _read_plan(problem.q.dims, scheme)
     results = _map_blocks(trials, seed, workers, lambda seed_seq, count: _is_block(
-        problem, scheme, tilt_flat, log_ratio, seed_seq, count
+        scheme, plan, tilt_flat, log_ratio, seed_seq, count
     ))
     live = [r for r in results if r[1] > 0]  # block order, not completion order
     lse = -np.inf

@@ -80,3 +80,64 @@ def test_traced_calls_bind_their_arguments(monkeypatch, tmp_path, capsys):
         assert name in names, name
     metrics = tracing.per_layer_metrics(tracer.spans, 1, "cli.exponent")
     assert metrics["exponents.min_kl_fixed_marginals.calls_per_exponent"] == 1.0
+
+
+def test_segment_marks_resolve_and_land(monkeypatch, tmp_path, capsys):
+    # SegmentClock.install skips a name steinmac no longer has without a
+    # word, which would only coarsen the segments whose fastest times
+    # pass_s sums; so every marked name must resolve and the block and
+    # typicality marks must land inside a direct ladder
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "segments", raising=False)
+    segments = importlib.import_module("segments")
+    from steinmac import cli, simulate
+
+    gone = {("steinmac.simulate", "_compositions")}  # joint-type enumeration
+    for module, attr in segments.MARKED:
+        if (module, attr) not in gone:
+            assert module == "steinmac.simulate", (module, attr)
+            assert callable(getattr(simulate, attr, None)), attr
+
+    class RecordingClock(segments.SegmentClock):
+        def __init__(self):
+            super().__init__()
+            self.marked_in = set()
+
+        def _wrap(self, fn):
+            marked = super()._wrap(fn)
+
+            def recorded(*args, **kwargs):
+                before = len(self._marks or ())
+                try:
+                    return marked(*args, **kwargs)
+                finally:
+                    if len(self._marks or ()) > before:
+                        self.marked_in.add(fn)
+
+            return recorded
+
+    (tmp_path / "noisy.kernel").write_text(NOISY)
+    (tmp_path / "frozen.problem").write_text(PROBLEM)
+    cfg = tmp_path / "direct.cfg"
+    cfg.write_text(
+        "problem = frozen.problem\nchannel.kind = dmmac\n"
+        "channel.file = noisy.kernel\ncost.a = 1\ncost.b = 0.5\n"
+        "sim.trials = 200\nsim.seed = 9\nsim.mu = 0.2\n"
+        "sim.ladder = 8,12,16\nestimator = direct\nout = direct.csv\n"
+    )
+    originals = {
+        attr: getattr(simulate, attr) for attr in ("_direct_block", "_typicality_flags")
+    }
+    clock = RecordingClock()
+    clock.install()
+    try:
+        clock.start()
+        assert cli.main(["simulate", str(cfg), "--workers", "1"]) == 0
+        clock.stop()
+    finally:
+        clock.uninstall()
+    capsys.readouterr()
+
+    for attr, fn in originals.items():
+        assert fn in clock.marked_in, attr
+        assert getattr(simulate, attr) is fn, attr

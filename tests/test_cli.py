@@ -437,6 +437,13 @@ class TestOutOfRangeValues:
         ({"sim.seed": "-1"}, ["simulate", "{cfg}"], "{cfg}"),
         ({"cost.a": "nan"}, ["simulate", "{cfg}"], "{cfg}"),
         ({"cost.a": "inf"}, ["simulate", "{cfg}"], "{cfg}"),
+        ({"channel.kind": "gg", "channel.file": None, "gg.sigma": "1",
+          "gg.h1": "1", "gg.h2": "1", "gg.p": "inf"}, ["simulate", "{cfg}"], "{cfg}"),
+        ({"channel.kind": "gg", "channel.file": None, "gg.p": "2",
+          "gg.h1": "1", "gg.h2": "1", "gg.sigma": "inf"}, ["simulate", "{cfg}"], "{cfg}"),
+        ({"channel.kind": "gg", "channel.file": None, "gg.p": "2",
+          "gg.sigma": "1", "gg.h2": "1", "gg.h1": "nan"}, ["simulate", "{cfg}"], "{cfg}"),
+        ({}, ["exponent", "{problem}", "--gg", "inf,1,1,1"], "--gg"),
     ])
     def test_out_of_range_value_is_one_error_line(self, run, workdir, overrides, argv, where):
         names = dict(cfg=write_sim_config(workdir, **overrides),

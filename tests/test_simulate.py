@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinmac import schemes, simulate
-from steinmac.channels import BudgetLaw, ChannelClass, CostModel, Dmmac, GgMac
+from steinmac.channels import BudgetLaw, ChannelClass, CostModel, Dmmac, GgMac, find_markers
 from steinmac.errors import (
     AbsoluteContinuityViolation,
     DegenerateFit,
@@ -41,6 +41,9 @@ from steinmac.simulate import (
 from steinmac.simulate import (
     _batch_accept,
     _exact_accept_prob,
+    _marker_shown,
+    _read_flags,
+    _read_plan,
     _typicality_flags,
 )
 
@@ -287,21 +290,22 @@ def enumerated_accept_prob(joint, scheme):
     return float(weights @ acc)
 
 
+def draw_pmf(data, size):
+    """A pmf on `size` symbols, some of them of probability zero."""
+    weight = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    w = np.array(data.draw(st.lists(weight, min_size=size, max_size=size)))
+    if w.sum() == 0:
+        w[data.draw(st.integers(0, size - 1))] = 1.0
+    return w / w.sum()
+
+
 class TestExactDpProperty:
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
     def test_matches_joint_type_enumeration(self, data):
         dims = tuple(data.draw(st.integers(1, d)) for d in (3, 3, 2))
-        weight = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
-
-        def pmf(size):
-            w = np.array(data.draw(st.lists(weight, min_size=size, max_size=size)))
-            if w.sum() == 0:
-                w[data.draw(st.integers(0, size - 1))] = 1.0
-            return w / w.sum()
-
-        joint = pmf(math.prod(dims)).reshape(dims)
-        ref_u1, ref_u2, ref_v = (Pmf(pmf(d)) for d in dims)
+        joint = draw_pmf(data, math.prod(dims)).reshape(dims)
+        ref_u1, ref_u2, ref_v = (Pmf(draw_pmf(data, d)) for d in dims)
         scheme = Scheme(
             cls=data.draw(st.sampled_from(list(ChannelClass))),
             n=data.draw(st.integers(1, 7)),
@@ -415,6 +419,40 @@ class TestDirectMonteCarlo:
             run_trials(problem, ch, scheme, 8, 10, seed=0, sides=("weird",))
 
 
+class TestSeededEstimatesPinned:
+    """Seeded estimates frozen from the release before the block kernel
+    summed axes by one product and tested marker presence by cdf interval.
+    Moving one decision, or the order of the draws, changes them."""
+
+    # n: (rejects under P, accepts under Q, beta_hat, std_err), 8192 trials
+    CRITERION_09 = {
+        100: (5096, 0, 3.117834196347051e-31, 4.0385854058332275e-33),
+        800: (88, 0, 1.4857852926100943e-241, 1.577952558710124e-244),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", sorted(CRITERION_09))
+    def test_criterion_09(self, n, workers):
+        problem, ch, cm = criterion09_fixture()
+        scheme = build_scheme_for_class(ChannelClass.SPARSE, ch, problem.p, cm, n, 0.05)
+        rejects, accepts, beta_hat, std_err = self.CRITERION_09[n]
+        r = run_trials(problem, ch, scheme, n, 8192, (7, n, 0), workers=workers)
+        assert (r.alpha_hat * 8192, r.beta_hat * 8192) == (rejects, accepts)
+        est = importance_sample_beta(problem, ch, scheme, n, 8192, seed=(7, n, 1),
+                                     workers=workers)
+        # the weights are BLAS dot products, whose last bits may differ
+        # between builds; one moved trial moves beta_hat by far more
+        assert est[0] == pytest.approx(beta_hat, rel=1e-9)
+        assert est.std_err == pytest.approx(std_err, rel=1e-9)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_both_sides_decide(self, workers):
+        # criterion 09 accepts no trial under Q; the frozen instance does
+        problem, ch, _, scheme = sparse_fixture(n=12)
+        r = run_trials(problem, ch, scheme, 12, 8192, (7, 12, 0), workers=workers)
+        assert (r.alpha_hat * 8192, r.beta_hat * 8192) == (6528, 1446)
+
+
 class TestBatchRule:
     @pytest.mark.parametrize("cls", list(CLASS_CHANNELS), ids=lambda c: c.label)
     def test_matches_per_sequence_rule(self, cls):
@@ -435,11 +473,74 @@ class TestBatchRule:
             for joint in (problem.p, problem.q):
                 cells = quantile_map(joint.probs.ravel(), u_src) + rows
                 counts = np.bincount(cells.ravel(), minlength=trials * 8).reshape(trials, 8)
-                batch = _batch_accept(joint, ch, scheme, counts, u_marker)
+                plan = _read_plan(joint.dims, scheme)
+                batch = _batch_accept(ch, scheme, counts, u_marker, plan)
                 ref = per_sequence_accepts(joint, ch, scheme, u_src, u_marker)
                 np.testing.assert_array_equal(batch, ref)
                 outcomes.update(batch.tolist())
         assert outcomes == {True, False}
+
+
+class TestBlockKernelProperty:
+    """The block kernel's two shortcuts against the operations they replace:
+    per-axis symbol counts from one incidence product, and marker presence
+    from the marker output's cdf interval instead of an inverse-cdf map."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_read_flags_match_per_axis_sums(self, data):
+        # axes of size one are common, so the local rule on (1, 1, K) joints,
+        # whose plan is the identity, is drawn often
+        size = st.one_of(st.just(1), st.integers(1, 3))
+        dims = tuple(data.draw(size) for _ in range(3))
+        scheme = Scheme(
+            cls=data.draw(st.sampled_from(list(ChannelClass))),
+            n=data.draw(st.integers(1, 60)),
+            k=1,
+            mu=data.draw(st.floats(0.02, 0.5)),
+            ref_u1=Pmf(draw_pmf(data, dims[0])),
+            ref_u2=Pmf(draw_pmf(data, dims[1])),
+            ref_v=Pmf(draw_pmf(data, dims[2])),
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        counts = rng.multinomial(scheme.n, draw_pmf(data, math.prod(dims)), size=200)
+        flags = _read_flags(counts, _read_plan(dims, scheme), scheme)
+        assert sorted(flags) == sorted(pinned_axes(scheme.cls))
+        for axis, got in flags.items():
+            other = tuple(1 + a for a in range(3) if a != axis)
+            per_axis = counts.reshape(-1, *dims).sum(axis=other)
+            want = _typicality_flags(per_axis, scheme.ref(axis), scheme.mu, scheme.n)
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_marker_interval_matches_inverse_cdf(self, data):
+        row = draw_pmf(data, data.draw(st.integers(1, 6)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u = rng.random((300, data.draw(st.integers(1, 4))))
+        # uniforms on the cdf's steps, where a half-open end decides
+        steps = np.cumsum(row)
+        steps = steps[steps < 1.0]
+        u.flat[: steps.size] = steps
+        zeros = np.flatnonzero(row == 0)
+        markers = {0, row.size - 1, *zeros, *(zeros - 1), *(zeros + 1)} & set(range(row.size))
+        for m in sorted(markers):
+            want = (quantile_map(row, u) == m).any(axis=1)
+            np.testing.assert_array_equal(_marker_shown(row, m, u), want)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(cls=st.sampled_from([c for c in ChannelClass if c.signalling]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_off_input_never_shows_the_marker(self, cls, seed):
+        ch = CLASS_CHANNELS[cls]
+        u = np.random.default_rng(seed).random((500, 3))
+        for sensor in cls.signalling:
+            w = find_markers(ch, cls).witness(sensor)
+            off = w.row(ch, sensor, w.off_input)
+            u.flat[: off.size] = np.minimum(np.cumsum(off), np.nextafter(1.0, 0.0))
+            assert not _marker_shown(off, w.marker_output, u).any()
+            on = w.row(ch, sensor, w.on_input)
+            assert _marker_shown(on, w.marker_output, u).any()
 
 
 class TestDirectAgainstExactProperty:
