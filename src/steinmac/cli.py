@@ -43,7 +43,11 @@ from .schemes import class_exponent  # noqa: F401  (bench traces it by name)
 from .schemes import class_projection
 from .simulate import SimConfig, TestProblem, run_ladder
 
-_SCHEME_CHOICES = ("auto", "local", "sparse", "sparse_full", "full_sparse")
+# scheme values and the class each asks for; auto takes the channel's own
+_SCHEMES = {
+    "auto": None, "local": ChannelClass.FULL,
+    **{c.label: c for c in ChannelClass if c.signalling},
+}
 
 
 def load_problem(path) -> TestProblem:
@@ -190,29 +194,21 @@ def cmd_exponent(args) -> int:
 
 
 def _resolve_scheme(requested: str, channel, path: str) -> ChannelClass:
-    if isinstance(channel, GgMac):
-        if requested in ("auto", "local"):
-            return ChannelClass.FULL
+    if requested not in _SCHEMES:
         raise ParseError(
-            f"scheme {requested!r} needs channel markers and an additive noise "
-            "channel has none; scheme=auto selects local",
-            path=path,
+            f"scheme must be one of {tuple(_SCHEMES)}, got {requested!r}", path=path
         )
-    cls = classify(channel)
-    by_label = {c.label: c for c in ChannelClass}
-    if requested == "auto":
-        return cls
-    if requested == "local":
-        return ChannelClass.FULL
-    wanted = by_label[requested]
-    if wanted is not cls:
-        suggestion = "local" if cls is ChannelClass.FULL else cls.label
-        raise ParseError(
-            f"channel classifies as {cls.label}; the {requested} scheme is "
-            f"unavailable (scheme=auto selects {suggestion})",
-            path=path,
-        )
-    return wanted
+    # an additive noise channel never loses an output, so it has no markers
+    cls = ChannelClass.FULL if isinstance(channel, GgMac) else classify(channel)
+    wanted = _SCHEMES[requested] or cls
+    if wanted in (ChannelClass.FULL, cls):
+        return wanted
+    suggestion = "local" if cls is ChannelClass.FULL else cls.label
+    raise ParseError(
+        f"channel classifies as {cls.label}; the {requested} scheme is "
+        f"unavailable (scheme=auto selects {suggestion})",
+        path=path,
+    )
 
 
 def cmd_simulate(args) -> int:
@@ -237,13 +233,7 @@ def cmd_simulate(args) -> int:
             f"channel.kind must be dmmac or gg, got {kind!r}", path=spath
         )
 
-    requested = cfg.get("scheme", "auto")
-    if requested not in _SCHEME_CHOICES:
-        raise ParseError(
-            f"scheme must be one of {_SCHEME_CHOICES}, got {requested!r}",
-            path=spath,
-        )
-    cls = _resolve_scheme(requested, channel, spath)
+    cls = _resolve_scheme(cfg.get("scheme", "auto"), channel, spath)
 
     cost_model = None
     if cls is not ChannelClass.FULL:

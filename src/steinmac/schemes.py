@@ -66,6 +66,12 @@ class Scheme:
     p_marker1: float | None = None
     p_marker2: float | None = None
 
+    def __post_init__(self):
+        for axis in pinned_axes(self.cls):
+            if self.ref(axis) is None:
+                field = ("ref_u1", "ref_u2", "ref_v")[axis]
+                raise ValueError(f"a {self.cls.label} scheme reads axis {axis} and needs {field}")
+
     @property
     def signals1(self) -> bool:
         return 1 in self.cls.signalling

@@ -3,8 +3,10 @@
 Three estimators with one reproducibility contract:
 
 * direct Monte-Carlo, trial-coupled across hypotheses: both draw their
-  joint-cell counts from one generator state and share the marker-slot
-  uniforms, so identical P and Q give alpha + beta = 1 exactly;
+  joint-cell counts from one generator state and share marker presence,
+  decided once per block from each signalling sensor's on-input kernel
+  row (the off input cannot produce the marker, so its row is never
+  read), so identical P and Q give alpha + beta = 1 exactly;
 * exact probabilities from a dynamic program over the symbol counts of
   the axes the decision rule actually reads, times the closed-form marker
   acceptance factor; InstanceTooLarge caps the count lattice at
@@ -21,8 +23,9 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,10 +168,14 @@ def wilson_interval(successes: int, trials: int) -> tuple:
 
 def _map_blocks(trials: int, seed, workers: int, block_fn) -> list:
     """block_fn(seed_seq, count) over blocks of at most _BLOCK trials, each
-    seeded from (seed, block index); results come back in block order."""
+    seeded from (seed, block index); results come back in block order.
+    The pool holds at most one thread per usable core: the executor starts
+    a thread per submitted block while none is idle."""
     counts = [min(_BLOCK, trials - start) for start in range(0, trials, _BLOCK)]
     entropy = seed if isinstance(seed, (tuple, list)) else (int(seed),)
     seeds = [np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(len(counts))]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cores or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(block_fn, seeds, counts))
@@ -217,50 +224,39 @@ def _marker_shown(row: np.ndarray, marker: int, u: np.ndarray) -> np.ndarray:
     return ((u >= lo) & (u < hi)).any(axis=1)
 
 
-def _batch_accept(channel, scheme: Scheme, counts, u_marker, plan):
+def _batch_accept(scheme: Scheme, counts, shown, plan):
     """Decide-0 of every trial, from its source joint-cell counts (trials,
-    cells) and each signalling sensor's marker-slot uniforms u_marker[i]
-    (trials, k). A slot's output is the inverse-cdf draw from the kernel
-    row of the sensor's on or off input and the partner's pilot; the rule
-    reads only whether some slot shows the marker, so that is all that is
-    computed. `plan` is `_read_plan`'s."""
+    cells) and, for each signalling sensor, whether its on-input block
+    shows the marker in some slot (trials,). A sensor sends on exactly
+    when its observation is typical, and the off input cannot produce the
+    marker, so a trial accepts when every read flag passes and every
+    signalling sensor's marker is shown. `plan` is `_read_plan`'s."""
     flags = _read_flags(counts, plan, scheme)
     accept = flags[2]
-    for sensor, u in zip(scheme.cls.signalling, u_marker):
-        w = scheme.markers.witness(sensor)
-        # marker in some slot if the sensor sends on, if it sends off
-        shown = [_marker_shown(w.row(channel, sensor, x), w.marker_output, u)
-                 for x in (w.on_input, w.off_input)]
-        accept = accept & np.where(flags[sensor - 1], *shown)
+    for sensor, on_shown in zip(scheme.cls.signalling, shown):
+        accept = accept & flags[sensor - 1] & on_shown
     return accept
 
 
 def _direct_block(problem, channel, scheme, plan, seed_seq, count, sides):
     rng = np.random.default_rng(seed_seq)
-    # the marker-slot uniforms are drawn before branching on the hypothesis,
-    # and each hypothesis's counts are drawn from the same generator state,
-    # so the two runs share all their randomness and a one-sided run reads
+    # marker presence is decided before branching on the hypothesis, and
+    # each hypothesis's counts are drawn from the same generator state, so
+    # the two runs share all their randomness and a one-sided run reads
     # the same draws as a two-sided one
-    u_marker = [rng.random((count, scheme.k)) for _ in scheme.cls.signalling]
+    shown = []
+    for sensor in scheme.cls.signalling:
+        w = scheme.markers.witness(sensor)
+        u = rng.random((count, scheme.k))
+        shown.append(_marker_shown(w.row(channel, sensor, w.on_input), w.marker_output, u))
     start = rng.bit_generator.state
     accepted = {}
     for side, joint in (("null", problem.p), ("alt", problem.q)):
         if side in sides:
             rng.bit_generator.state = start
             counts = rng.multinomial(scheme.n, joint.probs.ravel(), size=count)
-            accepted[side] = int(_batch_accept(channel, scheme, counts, u_marker, plan).sum())
+            accepted[side] = int(_batch_accept(scheme, counts, shown, plan).sum())
     return count - accepted.get("null", count), accepted.get("alt", 0)
-
-
-@dataclass(frozen=True)
-class TrialEstimate:
-    trials: int
-    alpha_hat: float
-    alpha_lo: float
-    alpha_hi: float
-    beta_hat: float
-    beta_lo: float
-    beta_hi: float
 
 
 def run_trials(
@@ -272,8 +268,9 @@ def run_trials(
     seed,
     workers: int = 1,
     sides: tuple = ("null", "alt"),
-) -> TrialEstimate:
-    """Direct Monte-Carlo of both error probabilities.
+) -> LadderPoint:
+    """Direct Monte-Carlo of both error probabilities, as a ladder rung
+    with estimator "direct"; a side that is not run reads nan.
 
     Each trial's joint-cell counts are one multinomial draw, made from the
     same generator state under both hypotheses, and the marker-slot channel
@@ -299,7 +296,7 @@ def run_trials(
     b_hat = accepts / trials if "alt" in sides else math.nan
     a_lo, a_hi = wilson_interval(rejects, trials) if "null" in sides else (math.nan,) * 2
     b_lo, b_hi = wilson_interval(accepts, trials) if "alt" in sides else (math.nan,) * 2
-    return TrialEstimate(trials, a_hat, a_lo, a_hi, b_hat, b_lo, b_hi)
+    return LadderPoint(n, "direct", a_hat, a_lo, a_hi, b_hat, b_lo, b_hi)
 
 
 # --- exact error probabilities ---
@@ -573,26 +570,20 @@ def run_ladder(problem: TestProblem, channel, cls, config: SimConfig) -> SimRepo
             alpha, beta = exact_error_probs(problem, channel, scheme, n)
             points.append(LadderPoint(n, est, alpha, alpha, alpha, beta, beta, beta, 0.0))
             continue
-        r = run_trials(
+        pt = run_trials(
             problem, channel, scheme, n, config.trials, (config.master_seed, n, 0),
             workers=config.workers, sides=("null", "alt") if est == "direct" else ("null",),
         )
-        if est == "direct":
-            pt = LadderPoint(
-                n, est, r.alpha_hat, r.alpha_lo, r.alpha_hi,
-                r.beta_hat, r.beta_lo, r.beta_hi,
-            )
-        else:
+        if est == "importance":
             beta = importance_sample_beta(
                 problem, channel, scheme, n, config.trials, tilt=tilt,
                 seed=(config.master_seed, n, 1), workers=config.workers,
             )
             beta_hat = beta[0]
             half = _WILSON_Z * beta.std_err
-            pt = LadderPoint(
-                n, est, r.alpha_hat, r.alpha_lo, r.alpha_hi,
-                beta_hat, max(0.0, beta_hat - half), min(1.0, beta_hat + half),
-                beta.std_err,
+            pt = replace(
+                pt, estimator=est, beta_hat=beta_hat, beta_lo=max(0.0, beta_hat - half),
+                beta_hi=min(1.0, beta_hat + half), beta_std_err=beta.std_err,
             )
         points.append(pt)
 

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 import steinmac
 from steinmac import cli, schemes
+from steinmac.channels import BudgetLaw, ChannelClass, CostModel, load_dmmac
 from steinmac.cli import load_config, load_problem, main
 from steinmac.errors import ParseError
+from steinmac.simulate import SimConfig, run_ladder
 
 ADDER = """2 2 4
 0.5 0.5 0 0
@@ -379,6 +381,34 @@ class TestSimulate:
         assert code == 1
         assert "classifies as sparse" in err
         assert "scheme=auto selects sparse" in err
+
+    def test_scheme_choices_against_the_library(self, run, workdir):
+        # the noisy kernel classifies as sparse: naming that class runs the
+        # auto scheme, local runs the side-information rule, and a log cost
+        # law sizes the marker blocks
+        problem = load_problem(workdir / "frozen.problem")
+        channel = load_dmmac(workdir / "noisy.kernel")
+        power = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
+        cases = [
+            ({"scheme": "sparse"}, ChannelClass.SPARSE, power),
+            ({"scheme": "local", "cost.a": None, "cost.b": None}, ChannelClass.FULL, None),
+            ({"cost.law": "log", "cost.a": "2", "cost.b": None}, ChannelClass.SPARSE,
+             CostModel.unit(2, 2, BudgetLaw.log(2.0))),
+        ]
+        for overrides, cls, cost_model in cases:
+            cfg = write_sim_config(workdir, **overrides)
+            code, _, err = run("simulate", str(cfg))
+            assert code == 0, err
+            config = SimConfig(n_ladder=(8, 12, 16), trials=50, master_seed=9, mu=0.2,
+                               cost_model=cost_model, estimator="exact")
+            want = run_ladder(problem, channel, cls, config).to_csv()
+            assert (workdir / "run.csv").read_text() == want, overrides
+
+    def test_unknown_cost_law(self, run, workdir):
+        cfg = write_sim_config(workdir, **{"cost.law": "linear"})
+        code, _, err = run("simulate", str(cfg))
+        assert code == 1
+        assert "cost.law must be power or log, got 'linear'" in err
 
     def test_boundary_instance_exact_ladder(self, run, workdir):
         cfg = write_sim_config(

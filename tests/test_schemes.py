@@ -80,6 +80,21 @@ TYPICAL = np.array([0, 1] * 5)
 ATYPICAL = np.zeros(10, dtype=int)
 
 
+class TestSchemeFields:
+    @pytest.mark.parametrize("cls, missing", [
+        (ChannelClass.SPARSE, "ref_u1"),
+        (ChannelClass.SPARSE, "ref_u2"),
+        (ChannelClass.SPARSE_FULL, "ref_u1"),
+        (ChannelClass.FULL_SPARSE, "ref_u2"),
+        (ChannelClass.FULL, "ref_v"),
+    ])
+    def test_read_axis_needs_its_reference(self, cls, missing):
+        refs = {"ref_u1": Pmf([0.5, 0.5]), "ref_u2": Pmf([0.5, 0.5]),
+                "ref_v": Pmf([0.5, 0.5]), missing: None}
+        with pytest.raises(ValueError, match=missing):
+            Scheme(cls=cls, n=10, k=1, mu=0.2, p_marker1=0.5, p_marker2=0.5, **refs)
+
+
 class TestEncoders:
     def test_sparse_layout(self):
         s = hand_scheme(ChannelClass.SPARSE)

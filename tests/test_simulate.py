@@ -27,6 +27,7 @@ from steinmac.schemes import (
     pinned_axes,
 )
 from steinmac.simulate import (
+    LadderPoint,
     SimConfig,
     SimReport,
     TestProblem,
@@ -354,6 +355,13 @@ class TestDirectMonteCarlo:
         assert r.alpha_lo <= r.alpha_hat <= r.alpha_hi
         assert r.beta_lo <= r.beta_hat <= r.beta_hi
 
+    def test_returns_a_direct_ladder_rung(self):
+        problem, ch, _, scheme = sparse_fixture()
+        r = run_trials(problem, ch, scheme, 8, 100, seed=1, sides=("null",))
+        assert isinstance(r, LadderPoint)
+        assert (r.n, r.estimator, r.beta_std_err) == (8, "direct", None)
+        assert math.isnan(r.beta_hat) and math.isnan(r.beta_lo)
+
     def test_coupled_hypotheses_sum_to_one_when_equal(self):
         p_v = [0.5, 0.5]
         problem, scheme = local_fixture(p_v, p_v, 0.2, 20)
@@ -371,6 +379,34 @@ class TestDirectMonteCarlo:
         a = run_trials(problem, ch, scheme, 8, 3000, seed=5, workers=1)
         b = run_trials(problem, ch, scheme, 8, 3000, seed=5, workers=4)
         assert a == b
+
+    def test_pool_is_capped_at_usable_cores(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Records the pool size and maps the blocks in this thread."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
+        problem, ch, _, scheme = sparse_fixture()
+        serial = run_trials(problem, ch, scheme, 8, 5 * 2048, seed=5)
+        for cores, want in (({0, 1, 2}, [3]), ({0}, [])):
+            pools.clear()
+            monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: cores)
+            pooled = run_trials(problem, ch, scheme, 8, 5 * 2048, seed=5, workers=64)
+            assert pools == want
+            assert pooled == serial
 
     def test_marker_coupling_sums_to_one_when_equal(self):
         problem, ch, _, scheme = sparse_fixture(n=12)
@@ -470,11 +506,17 @@ class TestBatchRule:
                 rng.random((trials, scheme.k))
                 for _ in range(int(scheme.signals1) + int(scheme.signals2))
             ]
+            # the batch rule reads marker presence on the on input only; the
+            # reference draws every slot from the row its real inputs select
+            shown = []
+            for sensor, u in zip(scheme.cls.signalling, u_marker):
+                w = scheme.markers.witness(sensor)
+                shown.append(_marker_shown(w.row(ch, sensor, w.on_input), w.marker_output, u))
             for joint in (problem.p, problem.q):
                 cells = quantile_map(joint.probs.ravel(), u_src) + rows
                 counts = np.bincount(cells.ravel(), minlength=trials * 8).reshape(trials, 8)
                 plan = _read_plan(joint.dims, scheme)
-                batch = _batch_accept(ch, scheme, counts, u_marker, plan)
+                batch = _batch_accept(scheme, counts, shown, plan)
                 ref = per_sequence_accepts(joint, ch, scheme, u_src, u_marker)
                 np.testing.assert_array_equal(batch, ref)
                 outcomes.update(batch.tolist())
@@ -630,6 +672,20 @@ class TestImportanceSampling:
         b = importance_sample_beta(problem, ch, scheme, 8, 3000, seed=9, workers=3)
         assert a == b
 
+    def test_plain_array_tilt(self):
+        problem, ch, _, scheme = sparse_fixture()
+        a = importance_sample_beta(problem, ch, scheme, 8, 3000, tilt=Q_JOINT, seed=9)
+        b = importance_sample_beta(problem, ch, scheme, 8, 3000, tilt=problem.q, seed=9)
+        assert a == b
+
+    def test_no_accepted_trial_gives_zero(self):
+        # only the all-ones v sequence is typical, and sampling from Q
+        # draws it with probability 0.45**100
+        problem, scheme = local_fixture([0.0, 1.0], [0.55, 0.45], 0.2, 100)
+        est = importance_sample_beta(problem, None, scheme, 100, 3000, tilt=problem.q, seed=5)
+        assert tuple(est) == (0.0, 0.0)
+        assert est.std_err == 0.0
+
 
     def test_ladder_solves_one_projection_and_keeps_the_default_tilt(self, monkeypatch):
         problem, ch, config = criterion_09((100, 200, 400), 512)
@@ -690,6 +746,11 @@ class TestFitExponent:
         with pytest.raises(DegenerateFit) as err:
             fit_exponent(pts)
         assert err.value.lower_bound == pytest.approx(0.1, abs=1e-12)
+
+    def test_single_surviving_rung_bounds_by_its_own_decay(self):
+        with pytest.raises(DegenerateFit) as err:
+            fit_exponent([(10, 0.1), (20, 0.0), (30, 0.0)])
+        assert err.value.lower_bound == pytest.approx(math.log(10) / 10, abs=1e-12)  # 0.2303
 
     def test_all_zero_beta_has_no_bound(self):
         with pytest.raises(DegenerateFit) as err:
