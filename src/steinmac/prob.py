@@ -4,11 +4,15 @@ Conventions used throughout the package:
 
 * natural logarithms everywhere, so divergences are in nats;
 * 0 * ln(0/q) = 0, and P(x) > 0 with Q(x) = 0 is an error rather than inf;
-* axes of a three-way joint are numbered U1 = 0, U2 = 1, V = 2.
+* axes of a three-way joint are numbered U1 = 0, U2 = 1, V = 2;
+* strong typicality is decided from symbol counts, each checked against
+  its count interval from typical_bounds, which accepts exactly the counts
+  c whose frequency passes abs(c / n - p) <= mu.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,20 +166,48 @@ def empirical_type(seq, alphabet_size: int) -> SequenceType:
 
 
 def is_strongly_typical(seq, p: Pmf, mu: float) -> bool:
-    """Strong typicality of one sequence; see typical_counts."""
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
+    """Strong typicality of one sequence: every symbol count inside its
+    typical_bounds interval."""
     t = empirical_type(seq, p.alphabet_size)
-    return bool(typical_counts(t.counts, p, mu, t.n))
+    lo, hi = typical_bounds(p, mu, t.n)
+    return bool(np.all((t.counts >= lo) & (t.counts <= hi)))
 
 
-def typical_counts(counts: np.ndarray, p: Pmf, mu: float, n: int) -> np.ndarray:
-    """Strong typicality of length-n sequences from their symbol counts
-    (last axis): every symbol frequency counts / n within mu of its
-    probability, and symbols of probability zero never occur."""
-    within = np.all(np.abs(counts / n - p.probs) <= mu, axis=-1)
-    zeros_ok = np.all(counts[..., p.probs == 0] == 0, axis=-1)
-    return within & zeros_ok
+def typical_bounds(p, mu: float, n: int) -> tuple:
+    """Per-symbol count intervals of strong typicality at length n: lo[s]
+    and hi[s] are the least and greatest count c in [0, n] whose frequency
+    passes the float test abs(c / n - p[s]) <= mu, and a symbol of
+    probability zero gets [0, 0]. lo > hi when no count passes.
+
+    c / n - p[s] is monotone in c under rounding, so the passing counts
+    form one interval. Its ends are found by evaluating that test on the
+    counts next to n (p[s] - mu) and n (p[s] + mu), a step or two per end
+    at any n, so the bounds decide exactly what the float test decides."""
+    probs = _probs_of(p)
+    if not mu >= 0:
+        raise ValueError("mu must be >= 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    lo = np.zeros(probs.size, dtype=np.int64)
+    hi = np.zeros(probs.size, dtype=np.int64)
+    for s, ps in enumerate(probs.tolist()):
+        if ps == 0:
+            continue
+        # a: least count whose frequency is not below ps - mu; b: greatest
+        # not above ps + mu. Each walk starts at the real-valued end, and
+        # rounding moves the float test's end by far less than one count
+        a = math.ceil(min(max(n * (ps - mu), 0), n))
+        while a > 0 and (a - 1) / n - ps >= -mu:
+            a -= 1
+        while a <= n and not a / n - ps >= -mu:
+            a += 1
+        b = math.floor(min(max(n * (ps + mu), 0), n))
+        while b < n and (b + 1) / n - ps <= mu:
+            b += 1
+        while b >= 0 and not b / n - ps <= mu:
+            b -= 1
+        lo[s], hi[s] = a, b
+    return lo, hi
 
 
 def sample_iid(dist, n: int, rng_state):

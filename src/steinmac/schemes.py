@@ -71,6 +71,13 @@ class Scheme:
             if self.ref(axis) is None:
                 field = ("ref_u1", "ref_u2", "ref_v")[axis]
                 raise ValueError(f"a {self.cls.label} scheme reads axis {axis} and needs {field}")
+        for s in self.cls.signalling:
+            p = self.p_marker1 if s == 1 else self.p_marker2
+            if p is None or not 0 < p <= 1:
+                raise ValueError(
+                    f"sensor {s} signals in a {self.cls.label} scheme and needs "
+                    f"p_marker{s} in (0, 1], got {p!r}"
+                )
 
     @property
     def signals1(self) -> bool:

@@ -14,6 +14,10 @@ Three estimators with one reproducibility contract:
 * importance sampling of the type-2 error, tilted by the I-projection
   minimizer, which is the source type that dominates the error event.
 
+All three decide typicality from the same per-symbol count intervals
+(prob.typical_bounds), computed once per call for every symbol the rule
+reads, as Scheme.encode and Scheme.decide do for one sequence.
+
 All randomness is derived from (seed, block index), never from thread
 scheduling, and block results are reduced in block order, so reports are
 byte-identical for any worker count.
@@ -37,7 +41,7 @@ from .errors import (
     ZeroTiltOnSupport,
 )
 from .exponents import min_kl_fixed_marginals
-from .prob import Joint3Pmf, typical_counts as _typicality_flags
+from .prob import Joint3Pmf, typical_bounds
 from .prob import quantile_map  # noqa: F401  (bench traces it by name)
 from .schemes import class_exponent  # noqa: F401  (bench traces it by name)
 from .schemes import Scheme, build_scheme_for_class, class_projection, pinned_axes
@@ -183,33 +187,45 @@ def _map_blocks(trials: int, seed, workers: int, block_fn) -> list:
 
 
 def _read_plan(dims, scheme: Scheme) -> tuple:
-    """The 0/1 incidence matrix (cells, symbols) from the joint cells of
-    `dims` to the symbols of every axis the rule reads, and each read
-    axis's slice of its columns. Built once per estimator call. None in
-    place of the identity: when the rule reads one axis and the joint has
-    no other, the cell counts are that axis's counts."""
+    """(incidence, bounds), built once per estimator call. incidence is the
+    0/1 matrix (read symbols, cells) from the joint cells of `dims` to the
+    symbols of every axis the rule reads, or None in place of the
+    identity: when the rule reads one axis and the joint has no other, the
+    cell counts are that axis's counts. bounds is (lo, hi, rows): every
+    read symbol's typical count interval, stacked axis by axis as columns
+    (read symbols, 1), and each read axis's slice of those rows."""
     axes = pinned_axes(scheme.cls)
+    lo, hi, rows, start = [], [], {}, 0
+    for a in axes:
+        a_lo, a_hi = typical_bounds(scheme.ref(a), scheme.mu, scheme.n)
+        lo.append(a_lo)
+        hi.append(a_hi)
+        rows[a] = slice(start, start + a_lo.size)
+        start += a_lo.size
+    bounds = (np.concatenate(lo)[:, None], np.concatenate(hi)[:, None], rows)
     cells = math.prod(dims)
     if len(axes) == 1 and cells == dims[axes[0]]:
-        return None, {axes[0]: slice(None)}
+        return None, bounds
     symbol = np.unravel_index(np.arange(cells), dims)
-    blocks, columns, start = [], {}, 0
-    for a in axes:
-        blocks.append(np.eye(dims[a])[symbol[a]])
-        columns[a] = slice(start, start + dims[a])
-        start += dims[a]
-    return np.concatenate(blocks, axis=1), columns
+    return np.concatenate([np.eye(dims[a])[:, symbol[a]] for a in axes]), bounds
 
 
-def _read_flags(counts: np.ndarray, plan: tuple, scheme: Scheme) -> dict:
+def _typicality_flags(sums: np.ndarray, bounds: tuple) -> dict:
+    """Typicality flag of every read axis, per column of sums (read
+    symbols, trials): every symbol count of the axis inside its interval.
+    `bounds` is _read_plan's."""
+    lo, hi, rows = bounds
+    inside = (sums >= lo) & (sums <= hi)
+    return {axis: inside[r].all(axis=0) for axis, r in rows.items()}
+
+
+def _read_flags(counts: np.ndarray, plan: tuple) -> dict:
     """Typicality flag of every axis the rule reads, per row of counts."""
-    incidence, columns = plan
-    # exact in floats: every symbol count is an integer <= n < 2**53
-    sums = counts if incidence is None else counts @ incidence
-    return {
-        axis: _typicality_flags(sums[:, cols], scheme.ref(axis), scheme.mu, scheme.n)
-        for axis, cols in columns.items()
-    }
+    incidence, bounds = plan
+    # symbols by trials, so each comparison runs along a contiguous row of
+    # trials; exact in floats: every symbol count is an integer <= n < 2**53
+    sums = np.ascontiguousarray(counts.T) if incidence is None else incidence @ counts.T
+    return _typicality_flags(sums, bounds)
 
 
 def _marker_shown(row: np.ndarray, marker: int, u: np.ndarray) -> np.ndarray:
@@ -231,7 +247,7 @@ def _batch_accept(scheme: Scheme, counts, shown, plan):
     when its observation is typical, and the off input cannot produce the
     marker, so a trial accepts when every read flag passes and every
     signalling sensor's marker is shown. `plan` is `_read_plan`'s."""
-    flags = _read_flags(counts, plan, scheme)
+    flags = _read_flags(counts, plan)
     accept = flags[2]
     for sensor, on_shown in zip(scheme.cls.signalling, shown):
         accept = accept & flags[sensor - 1] & on_shown
@@ -310,8 +326,8 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     symbol of each read axis except its likeliest reference symbol, whose
     count follows from n. Each of the n steps adds, for every cell of the
     support, the cell's probability times the lattice shifted by the
-    cell's symbols. Counts only grow, so a count above the largest one the
-    typicality box allows is dropped for good, and a reference symbol of
+    cell's symbols. Counts only grow, so a count above its symbol's
+    typical interval is dropped for good, and a reference symbol of
     probability zero keeps a dimension of size one. Each step rescales
     the lattice by a power of two, which loses no precision, so no state
     underflows while pruning drains the mass.
@@ -319,18 +335,19 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     axes = pinned_axes(scheme.cls)
     drop = tuple(a for a in range(3) if a not in axes)
     reduced = joint.probs.sum(axis=drop) if drop else joint.probs
-    n, mu = scheme.n, scheme.mu
+    n = scheme.n
+    _, bounds = _read_plan(joint.dims, scheme)
+    _, hi, rows = bounds
 
     free, dim_of, caps = [], [], []  # per read axis; caps per lattice dim
     for axis in axes:
         ref = scheme.ref(axis).probs
         free.append(int(np.argmax(ref)))
         dim_of.append({})
-        for s in range(ref.size):
+        for s, cap in enumerate(hi[rows[axis], 0].tolist()):
             if s != free[-1]:
                 dim_of[-1][s] = len(caps)
-                # +1 absorbs rounding: the flags below decide the boundary
-                caps.append(min(n, int(n * (ref[s] + mu)) + 1) if ref[s] > 0 else 0)
+                caps.append(cap)
     states = math.prod(c + 1 for c in caps)
     if states > _MAX_STATES:
         raise InstanceTooLarge(
@@ -369,14 +386,13 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
         lat, nxt = nxt, lat
 
     grid = np.ix_(*(np.arange(size) for size in lat.shape))  # count per dim
-    flags = {}
+    sums = []  # every read symbol's count at every lattice state
     for axis, f, dims in zip(axes, free, dim_of):
-        ref = scheme.ref(axis)
-        cols = [grid[dims[s]] if s in dims else 0 for s in range(ref.alphabet_size)]
+        cols = [grid[dims[s]] if s in dims else 0 for s in range(len(dims) + 1)]
         cols[f] = n - sum(grid[d] for d in dims.values())
-        cols = np.broadcast_arrays(*cols)
-        counts = np.stack(cols, axis=-1).reshape(-1, len(cols))
-        flags[axis] = _typicality_flags(counts, ref, mu, n).reshape(cols[0].shape)
+        sums += cols
+    sums = np.stack(np.broadcast_arrays(*sums)).reshape(len(sums), -1)
+    flags = {a: flag.reshape(lat.shape) for a, flag in _typicality_flags(sums, bounds).items()}
     total = float(np.sum(lat * scheme.accept_weights(flags)))
     return math.ldexp(total, exp2)
 
@@ -435,7 +451,7 @@ def _is_block(scheme, plan, tilt_flat, log_ratio, seed_seq, count):
     the contributions and of their squares scaled by exp(-hi), exp(-2 hi)."""
     rng = np.random.default_rng(seed_seq)
     counts = rng.multinomial(scheme.n, tilt_flat, size=count)
-    acc = scheme.accept_weights(_read_flags(counts, plan, scheme))
+    acc = scheme.accept_weights(_read_flags(counts, plan))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         contrib = counts @ log_ratio + np.log(acc)

@@ -3,6 +3,7 @@ a refactor that renames or moves one breaks `bench/run.py --trace 1`."""
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -85,8 +86,9 @@ def test_traced_calls_bind_their_arguments(monkeypatch, tmp_path, capsys):
 def test_segment_marks_resolve_and_land(monkeypatch, tmp_path, capsys):
     # SegmentClock.install skips a name steinmac no longer has without a
     # word, which would only coarsen the segments whose fastest times
-    # pass_s sums; so every marked name must resolve and the block and
-    # typicality marks must land inside a direct ladder
+    # pass_s sums; so every marked name must resolve, and the block and
+    # typicality marks must land inside a direct and an importance ladder,
+    # one typicality call per block and hypothesis sampled
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.delitem(sys.modules, "segments", raising=False)
     segments = importlib.import_module("segments")
@@ -101,7 +103,7 @@ def test_segment_marks_resolve_and_land(monkeypatch, tmp_path, capsys):
     class RecordingClock(segments.SegmentClock):
         def __init__(self):
             super().__init__()
-            self.marked_in = set()
+            self.marked_in = Counter()
 
         def _wrap(self, fn):
             marked = super()._wrap(fn)
@@ -112,32 +114,37 @@ def test_segment_marks_resolve_and_land(monkeypatch, tmp_path, capsys):
                     return marked(*args, **kwargs)
                 finally:
                     if len(self._marks or ()) > before:
-                        self.marked_in.add(fn)
+                        self.marked_in[fn] += 1
 
             return recorded
 
     (tmp_path / "noisy.kernel").write_text(NOISY)
     (tmp_path / "frozen.problem").write_text(PROBLEM)
-    cfg = tmp_path / "direct.cfg"
-    cfg.write_text(
-        "problem = frozen.problem\nchannel.kind = dmmac\n"
-        "channel.file = noisy.kernel\ncost.a = 1\ncost.b = 0.5\n"
-        "sim.trials = 200\nsim.seed = 9\nsim.mu = 0.2\n"
-        "sim.ladder = 8,12,16\nestimator = direct\nout = direct.csv\n"
-    )
-    originals = {
-        attr: getattr(simulate, attr) for attr in ("_direct_block", "_typicality_flags")
-    }
-    clock = RecordingClock()
-    clock.install()
-    try:
-        clock.start()
-        assert cli.main(["simulate", str(cfg), "--workers", "1"]) == 0
-        clock.stop()
-    finally:
-        clock.uninstall()
-    capsys.readouterr()
+    # 200 trials make one block per rung; a direct block samples both
+    # hypotheses, the importance ladder's direct block only the null
+    for estimator, blocks, decided in (("direct", ("_direct_block",), 6),
+                                       ("importance", ("_direct_block", "_is_block"), 6)):
+        cfg = tmp_path / f"{estimator}.cfg"
+        cfg.write_text(
+            "problem = frozen.problem\nchannel.kind = dmmac\n"
+            "channel.file = noisy.kernel\ncost.a = 1\ncost.b = 0.5\n"
+            "sim.trials = 200\nsim.seed = 9\nsim.mu = 0.2\n"
+            f"sim.ladder = 8,12,16\nestimator = {estimator}\nout = {estimator}.csv\n"
+        )
+        originals = {attr: getattr(simulate, attr) for attr in (*blocks, "_typicality_flags")}
+        clock = RecordingClock()
+        clock.install()
+        try:
+            clock.start()
+            assert cli.main(["simulate", str(cfg), "--workers", "1"]) == 0
+            clock.stop()
+        finally:
+            clock.uninstall()
+        capsys.readouterr()
 
-    for attr, fn in originals.items():
-        assert fn in clock.marked_in, attr
-        assert getattr(simulate, attr) is fn, attr
+        for attr, fn in originals.items():
+            assert getattr(simulate, attr) is fn, attr
+        for attr in blocks:
+            assert clock.marked_in[originals[attr]] == 3, (estimator, attr)
+        flags = originals["_typicality_flags"]
+        assert clock.marked_in[flags] == decided, estimator

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinmac.errors import AbsoluteContinuityViolation, LengthMismatch, OutOfAlphabet
 from steinmac.prob import (
@@ -13,6 +15,7 @@ from steinmac.prob import (
     quantile_map,
     require_length,
     sample_iid,
+    typical_bounds,
 )
 
 
@@ -144,6 +147,57 @@ class TestTypicality:
 
     def test_mu_one_binary_no_zero_cells(self):
         assert is_strongly_typical([0, 0, 0, 0], Pmf([0.5, 0.5]), 0.99)
+
+
+def float_test(c, p, mu, n):
+    """The strong-typicality test on one symbol, literally: frequency c / n
+    within mu of p, and no occurrence of a symbol of probability zero."""
+    ok = np.abs(c / n - p) <= mu
+    return ok & (c == 0) if p == 0 else ok
+
+
+class TestTypicalBounds:
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_the_float_test(self, data):
+        size = data.draw(st.integers(1, 5))
+        weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+        w = np.array(data.draw(st.lists(weight, min_size=size, max_size=size)))
+        if w.sum() == 0:
+            w[data.draw(st.integers(0, size - 1))] = 1.0
+        p = w / w.sum()
+        n = data.draw(st.one_of(st.integers(1, 4096), st.integers(1, 10**6)))
+        # one mu at random, and eight exactly on the edge of some count's
+        # window, where rounding decides; those counts are drawn uniformly
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        edge = [abs(c / n - p[s]) for c, s in zip(
+            rng.integers(0, n + 1, size=8), rng.choice(np.flatnonzero(p), size=8))]
+        for mu in [data.draw(st.floats(0.0, 1.0)), *edge]:
+            lo, hi = typical_bounds(Pmf(p), mu, n)
+            for s, ps in enumerate(p):
+                if n <= 4096:
+                    cs = np.arange(n + 1)
+                else:
+                    near = np.arange(-3, 4)
+                    cs = np.unique(np.clip(np.concatenate([lo[s] + near, hi[s] + near]), 0, n))
+                np.testing.assert_array_equal(
+                    (cs >= lo[s]) & (cs <= hi[s]), float_test(cs, ps, mu, n),
+                    err_msg=f"symbol {s}, mu {mu!r}",
+                )
+
+    def test_zero_probability_symbol_gets_zero_count_only(self):
+        lo, hi = typical_bounds(Pmf([0.0, 1.0]), 0.9, 10)
+        assert (lo[0], hi[0]) == (0, 0)
+        assert (lo[1], hi[1]) == (1, 10)
+
+    def test_no_passing_count_gives_an_empty_interval(self):
+        lo, hi = typical_bounds(Pmf([0.5, 0.5]), 0.2, 1)
+        assert np.all(lo > hi)
+
+    @pytest.mark.parametrize("mu, n", [(-1e-12, 10), (float("nan"), 10), (0.1, 0), (0.1, -3)])
+    def test_refuses_negative_mu_and_empty_length(self, mu, n):
+        with pytest.raises(ValueError, match="mu|n"):
+            typical_bounds(Pmf([0.5, 0.5]), mu, n)
 
 
 class TestSampling:

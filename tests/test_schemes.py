@@ -94,6 +94,28 @@ class TestSchemeFields:
         with pytest.raises(ValueError, match=missing):
             Scheme(cls=cls, n=10, k=1, mu=0.2, p_marker1=0.5, p_marker2=0.5, **refs)
 
+    @pytest.mark.parametrize("cls, field, value", [
+        (ChannelClass.SPARSE, "p_marker2", None),
+        (ChannelClass.SPARSE, "p_marker1", None),
+        (ChannelClass.SPARSE, "p_marker1", 1.5),
+        (ChannelClass.SPARSE, "p_marker2", -1.0),
+        (ChannelClass.SPARSE_FULL, "p_marker1", 0.0),
+        (ChannelClass.SPARSE_FULL, "p_marker1", float("nan")),
+        (ChannelClass.FULL_SPARSE, "p_marker2", None),
+    ])
+    def test_signalling_sensor_needs_its_marker_probability(self, cls, field, value):
+        half = Pmf([0.5, 0.5])
+        probs = {"p_marker1": 0.5, "p_marker2": 0.5, field: value}
+        with pytest.raises(ValueError, match=field):
+            Scheme(cls=cls, n=10, k=1, mu=0.2, ref_v=half, ref_u1=half, ref_u2=half,
+                   **probs)
+
+    def test_silent_sensor_needs_no_marker_probability(self):
+        half = Pmf([0.5, 0.5])
+        Scheme(cls=ChannelClass.SPARSE_FULL, n=10, k=1, mu=0.2, ref_v=half,
+               ref_u1=half, p_marker1=1.0)
+        Scheme(cls=ChannelClass.FULL, n=10, k=0, mu=0.2, ref_v=half)
+
 
 class TestEncoders:
     def test_sparse_layout(self):

@@ -45,7 +45,6 @@ from steinmac.simulate import (
     _marker_shown,
     _read_flags,
     _read_plan,
-    _typicality_flags,
 )
 
 # Joint source and sparse channel pair whose exact error probabilities were
@@ -262,6 +261,14 @@ def criterion09_fixture():
     return problem, Dmmac(adder), cm
 
 
+def float_typical(counts, ref, mu, n):
+    """Strong typicality as the float test on frequencies, per row of
+    symbol counts (last axis): the reference the count intervals of
+    `prob.typical_bounds` must reproduce."""
+    within = np.all(np.abs(counts / n - ref.probs) <= mu, axis=-1)
+    return within & np.all(counts[..., ref.probs == 0] == 0, axis=-1)
+
+
 def enumerated_accept_prob(joint, scheme):
     """P(decide 0) by brute force over the joint types of the read axes:
     every multiset of n support cells, its multinomial weight, the
@@ -283,7 +290,7 @@ def enumerated_accept_prob(joint, scheme):
     acc = np.ones(len(combos))
     for pos, axis in enumerate(axes):
         onehot = np.eye(reduced.shape[pos], dtype=np.int64)[symbols[pos]]
-        acc *= _typicality_flags(counts @ onehot, refs[axis], scheme.mu, n)
+        acc *= float_typical(counts @ onehot, refs[axis], scheme.mu, n)
     for on, p_marker in ((scheme.signals1, scheme.p_marker1),
                          (scheme.signals2, scheme.p_marker2)):
         if on:
@@ -524,9 +531,11 @@ class TestBatchRule:
 
 
 class TestBlockKernelProperty:
-    """The block kernel's two shortcuts against the operations they replace:
-    per-axis symbol counts from one incidence product, and marker presence
-    from the marker output's cdf interval instead of an inverse-cdf map."""
+    """The block kernel's shortcuts against the operations they replace:
+    per-axis symbol counts from one incidence product, typicality from
+    per-symbol count intervals instead of the float test on frequencies,
+    and marker presence from the marker output's cdf interval instead of an
+    inverse-cdf map."""
 
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
@@ -543,15 +552,17 @@ class TestBlockKernelProperty:
             ref_u1=Pmf(draw_pmf(data, dims[0])),
             ref_u2=Pmf(draw_pmf(data, dims[1])),
             ref_v=Pmf(draw_pmf(data, dims[2])),
+            p_marker1=0.5,
+            p_marker2=0.5,
         )
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         counts = rng.multinomial(scheme.n, draw_pmf(data, math.prod(dims)), size=200)
-        flags = _read_flags(counts, _read_plan(dims, scheme), scheme)
+        flags = _read_flags(counts, _read_plan(dims, scheme))
         assert sorted(flags) == sorted(pinned_axes(scheme.cls))
         for axis, got in flags.items():
             other = tuple(1 + a for a in range(3) if a != axis)
             per_axis = counts.reshape(-1, *dims).sum(axis=other)
-            want = _typicality_flags(per_axis, scheme.ref(axis), scheme.mu, scheme.n)
+            want = float_typical(per_axis, scheme.ref(axis), scheme.mu, scheme.n)
             np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
