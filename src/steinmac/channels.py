@@ -70,20 +70,21 @@ class Dmmac:
     kernel: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.kernel, dtype=float)
+        k = np.array(self.kernel, dtype=float)
         if k.ndim != 3:
             raise ValueError(f"kernel must be 3-dimensional, got shape {k.shape}")
         if min(k.shape) < 1:
             raise ValueError("kernel axes must be nonempty")
-        if np.any(k < 0) or not np.all(np.isfinite(k)):
-            raise ValueError("kernel entries must be finite and nonnegative")
-        rows = k.sum(axis=2)
-        if np.any(np.abs(rows - 1.0) > _ROW_TOL):
+        # a min that is not NaN and finite unit row sums accept the kernel;
+        # the detailed checks run only to name what is wrong
+        if not (k.min() >= 0 and np.abs(k.sum(axis=2) - 1.0).max() <= _ROW_TOL):
+            if np.any(k < 0) or not np.all(np.isfinite(k)):
+                raise ValueError("kernel entries must be finite and nonnegative")
+            rows = k.sum(axis=2)
             bad = np.unravel_index(int(np.argmax(np.abs(rows - 1.0))), rows.shape)
             raise ValueError(
                 f"kernel row {bad} sums to {rows[bad]!r}, expected 1 within {_ROW_TOL}"
             )
-        k = k.copy()
         k.flags.writeable = False
         object.__setattr__(self, "kernel", k)
 
@@ -103,10 +104,10 @@ def prune_unreachable_outputs(ch: Dmmac) -> Dmmac:
     classification is stated on the pruned kernel.
     """
     reach = ch.kernel.sum(axis=(0, 1)) > 0
-    if not np.any(reach):
-        raise EmptyOutputAlphabet("every output is unreachable")
-    if np.all(reach):
+    if reach.all():
         return ch
+    if not reach.any():
+        raise EmptyOutputAlphabet("every output is unreachable")
     return Dmmac(ch.kernel[:, :, reach])
 
 
@@ -116,9 +117,8 @@ def toggle_predicate(ch: Dmmac, sensor: int) -> bool:
     if sensor not in (1, 2):
         raise ValueError("sensor must be 1 or 2")
     axis = 0 if sensor == 1 else 1
-    impossible = np.any(ch.kernel == 0, axis=axis)
-    possible = np.any(ch.kernel > 0, axis=axis)
-    return bool(np.any(impossible & possible))
+    zero = ch.kernel == 0  # entries are nonnegative, so the rest are positive
+    return bool((zero.any(axis=axis) & ~zero.all(axis=axis)).any())
 
 
 def classify(ch: Dmmac) -> ChannelClass:
@@ -459,10 +459,13 @@ def gg_dn_tail(
 
 
 def _read_file(path, kind: str) -> str:
-    """The text of an input file; an unreadable one is a ParseError."""
+    """The text of an input file; an unreadable one is a ParseError. Read
+    as bytes and decoded whole, which is cheaper than a text-mode read and
+    splits into the same lines, since str.splitlines ends a line at every
+    newline that text mode would translate."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {kind} file: {e}", path=str(path))
 
@@ -485,7 +488,7 @@ def _read_table(text: str, path):
         if line[0] == "#":
             continue
         try:
-            row = [float(tok) for tok in line.split()]
+            row = list(map(float, line.split()))
         except ValueError:
             raise ParseError(f"expected numbers, got {line!r}", path, lineno)
         if dims is None:
@@ -516,8 +519,8 @@ def _unit_rows(rows: list, width: int, path, name) -> np.ndarray:
                              path, line)
     arr = np.array([values for _, values in rows], dtype=float)
     totals = arr.sum(axis=1)
-    ok = (arr >= 0).all(axis=1) & (np.abs(totals - 1.0) <= _FILE_ROW_TOL)
-    if not ok.all():
+    if not (arr.min() >= 0 and np.abs(totals - 1.0).max() <= _FILE_ROW_TOL):
+        ok = (arr >= 0).all(axis=1) & (np.abs(totals - 1.0) <= _FILE_ROW_TOL)
         i = int(np.argmin(ok))
         if (arr[i] < 0).any():
             raise ParseError(f"{name(i)} has negative entries", path, rows[i][0])

@@ -182,14 +182,15 @@ def cmd_exponent(args) -> int:
             f"face={res.face} of {np.count_nonzero(problem.q.probs)} cells",
             file=sys.stderr,
         )
-    print(f"exponent: {res.value:.6f}")
-    print(f"exponent_nats: {res.value!r}")
-    print("minimizer (u1 u2 v probability):")
-    arg = res.argmin
-    for a in range(arg.shape[0]):
-        for b in range(arg.shape[1]):
-            for c in range(arg.shape[2]):
-                print(f"{a} {b} {c} {arg[a, b, c]:.12g}")
+    lines = [
+        f"exponent: {res.value:.6f}",
+        f"exponent_nats: {res.value!r}",
+        "minimizer (u1 u2 v probability):",
+    ]
+    for a, plane in enumerate(res.argmin.tolist()):
+        for b, row in enumerate(plane):
+            lines += [f"{a} {b} {c} {x:.12g}" for c, x in enumerate(row)]
+    print("\n".join(lines))
     return 0
 
 

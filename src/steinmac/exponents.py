@@ -139,9 +139,11 @@ def min_kl_fixed_marginals(
     iterates = []
     sweeps = 0
     face_check = _FACE_SWEEPS
+    first = None  # the first step's marginal of p, if summed since p changed
     while True:
         for axis, target, others, shape in steps:
-            m = p.sum(axis=others)
+            m = p.sum(axis=others) if first is None else first
+            first = None
             if m.all():
                 factor = target / m
             else:
@@ -158,17 +160,27 @@ def min_kl_fixed_marginals(
         sweeps += 1
         if trace:
             iterates.append(p.copy())
-        residual = max([
-            float(np.abs(p.sum(axis=others) - target).sum())
-            for _, target, others, _ in steps
-        ])
-        if residual <= tol:
-            break
-        if sweeps >= max_iters:
-            raise NonConvergence(residual, sweeps)
+        # the residual is the max of the steps' gaps in step order, read
+        # only as far as the loop needs it: one gap above tol means another
+        # sweep, so the last step's gap, at rounding level since that axis
+        # was just fitted, is read only once every other gap is within tol
+        gaps = []
+        for _, target, others, _ in steps:
+            m = p.sum(axis=others)
+            first = m if first is None else first
+            gaps.append(float(np.abs(m - target).sum()))
+            if gaps[-1] > tol and sweeps < max_iters:
+                break
+        if len(gaps) == len(steps):
+            residual = max(gaps)
+            if residual <= tol:
+                break
+            if sweeps >= max_iters:
+                raise NonConvergence(residual, sweeps)
         if sweeps == face_check:
             face_check *= 10
-            _restrict_to_face(p, qa, steps)
+            if _restrict_to_face(p, qa, steps):
+                first = None
 
     value = kl_divergence(p, qa)
     return IProjectionResult(

@@ -25,17 +25,18 @@ _SUM_TOL = 1e-12
 
 
 def _as_prob_array(values, ndim, what):
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{what} must not be empty")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} entries must be finite and nonnegative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > _SUM_TOL:
+    # a min that is not NaN and a finite unit sum accept the array; the
+    # detailed checks run only to name what is wrong
+    if not (arr.min() >= 0 and abs(float(arr.sum()) - 1.0) <= _SUM_TOL):
+        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+            raise ValueError(f"{what} entries must be finite and nonnegative")
+        total = float(arr.sum())
         raise ValueError(f"{what} must sum to 1 within {_SUM_TOL}, got {total!r}")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -123,14 +124,23 @@ def kl_divergence(p, q) -> float:
     pa, qa = _probs_of(p), _probs_of(q)
     if pa.shape != qa.shape:
         raise ValueError(f"shape mismatch: {pa.shape} vs {qa.shape}")
-    mask = pa > 0
-    bad = mask & (qa == 0)
-    if np.any(bad):
-        cell = np.unravel_index(int(np.flatnonzero(bad.ravel())[0]), pa.shape)
-        raise AbsoluteContinuityViolation(tuple(int(c) for c in cell))
-    val = float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
+    mask = _charged_cells(pa, qa)
+    pm = pa[mask]
+    val = float(np.sum(pm * np.log(pm / qa[mask])))
     # Gibbs guarantees >= 0; rounding can leave a tiny negative residue.
     return max(val, 0.0)
+
+
+def _charged_cells(pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
+    """The mask of cells that P charges, for arrays of one shape. Raises
+    AbsoluteContinuityViolation, naming the first such cell in row-major
+    order, if Q does not charge them all."""
+    mask = pa > 0
+    bad = mask & (qa == 0)
+    if bad.any():
+        cell = np.unravel_index(int(np.flatnonzero(bad.ravel())[0]), pa.shape)
+        raise AbsoluteContinuityViolation(tuple(int(c) for c in cell))
+    return mask
 
 
 def marginal(joint, axis: int) -> Pmf:

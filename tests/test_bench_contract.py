@@ -83,6 +83,33 @@ def test_traced_calls_bind_their_arguments(monkeypatch, tmp_path, capsys):
     assert metrics["exponents.min_kl_fixed_marginals.calls_per_exponent"] == 1.0
 
 
+def test_traced_exponent_spans_each_layer_once(monkeypatch, tmp_path, capsys):
+    # the exponent path reaches the parser, the kernel loader, the
+    # classifier and the solver once each, through the module globals the
+    # tracer replaces
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    from steinmac import cli
+
+    (tmp_path / "noisy.kernel").write_text(NOISY)
+    (tmp_path / "frozen.problem").write_text(PROBLEM)
+    argv = ["exponent", str(tmp_path / "frozen.problem"),
+            "--channel", str(tmp_path / "noisy.kernel")]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.span("cli.exponent", cli.main, argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    counts = Counter(s[2] for s in tracer.spans)
+    for name in ("exponents.min_kl_fixed_marginals", "cli.load_problem",
+                 "channels.load_dmmac", "channels.classify"):
+        assert counts[name] == 1, (name, counts)
+
+
 def test_segment_marks_resolve_and_land(monkeypatch, tmp_path, capsys):
     # SegmentClock.install skips a name steinmac no longer has without a
     # word, which would only coarsen the segments whose fastest times

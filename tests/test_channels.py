@@ -75,6 +75,40 @@ class TestDmmac:
     def test_dims(self):
         assert adder_kernel().dims == (2, 2, 4)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5])
+    def test_bad_entry_named(self, value):
+        k = np.full((2, 2, 2), 0.5)
+        k[1, 0, 1] = value
+        with pytest.raises(ValueError) as err:
+            Dmmac(k)
+        assert str(err.value) == "kernel entries must be finite and nonnegative"
+
+    def test_off_unit_row_named(self):
+        # the worst row is named, its index and sum as numpy prints them
+        k = np.full((2, 2, 2), 0.5)
+        k[0, 1, 0] = 0.6
+        k[1, 1, 1] = 0.55
+        with pytest.raises(ValueError) as err:
+            Dmmac(k)
+        bad = np.unravel_index(1, (2, 2))
+        assert str(err.value) == (
+            f"kernel row {bad} sums to {k.sum(axis=2)[bad]!r}, expected 1 within 1e-12"
+        )
+
+    def test_toggle_matches_its_definition(self):
+        # some output impossible under one of the sensor's inputs and
+        # possible under another, with the partner's input held fixed
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            shape = tuple(int(d) for d in rng.integers(1, 4, size=3))
+            k = rng.random(shape) * (rng.random(shape) < 0.6)
+            k[..., 0] += k.sum(axis=2) == 0
+            ch = Dmmac(k / k.sum(axis=2, keepdims=True))
+            for sensor, axis in ((1, 0), (2, 1)):
+                want = (np.any(ch.kernel == 0, axis=axis)
+                        & np.any(ch.kernel > 0, axis=axis)).any()
+                assert toggle_predicate(ch, sensor) == want
+
 
 class TestPruning:
     def test_zero_column_removed(self):

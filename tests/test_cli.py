@@ -84,6 +84,76 @@ PROBLEM_BOUNDARY = """2 2 2
 0 0.4
 """
 
+# a 3x3x3 null and alternative, every cell charged
+PROBLEM_333 = """3 3 3
+0.052 0.031 0.018
+0.044 0.027 0.036
+0.015 0.061 0.022
+0.039 0.048 0.025
+0.033 0.057 0.029
+0.041 0.020 0.046
+0.035 0.024 0.050
+0.028 0.043 0.037
+0.019 0.055 0.065
+
+0.030 0.045 0.038
+0.026 0.041 0.033
+0.050 0.022 0.047
+0.036 0.029 0.044
+0.031 0.048 0.025
+0.039 0.042 0.027
+0.034 0.051 0.023
+0.046 0.028 0.040
+0.035 0.032 0.058
+"""
+
+# exponent stdout, byte for byte, as the per-cell printing loop wrote it
+GOLDEN_FROZEN_NOISY = """class: sparse
+exponent: 0.012606
+exponent_nats: 0.01260573824175671
+minimizer (u1 u2 v probability):
+0 0 0 0.136071886755
+0 0 1 0.0728032157593
+0 1 0 0.107848042902
+0 1 1 0.0432768545575
+1 0 0 0.157081046757
+1 0 1 0.0840438507286
+1 1 0 0.248999023586
+1 1 1 0.149876078955
+"""
+
+GOLDEN_333_GG = """exponent: 0.001892
+exponent_nats: 0.0018918802923614136
+minimizer (u1 u2 v probability):
+0 0 0 0.0280733944954
+0 0 1 0.0487278106509
+0 0 2 0.0372059701493
+0 1 0 0.0243302752294
+0 1 1 0.0443964497041
+0 1 2 0.0323104477612
+0 2 0 0.0467889908257
+0 2 1 0.0238224852071
+0 2 2 0.0460179104478
+1 0 0 0.0336880733945
+1 0 1 0.0314023668639
+1 0 2 0.0430805970149
+1 1 0 0.0290091743119
+1 1 1 0.0519763313609
+1 1 2 0.0244776119403
+1 2 0 0.036495412844
+1 2 1 0.0454792899408
+1 2 2 0.0264358208955
+2 0 0 0.0318165137615
+2 0 1 0.055224852071
+2 0 2 0.0225194029851
+2 1 0 0.0430458715596
+2 1 1 0.0303195266272
+2 1 2 0.0391641791045
+2 2 0 0.032752293578
+2 2 1 0.034650887574
+2 2 2 0.0567880597015
+"""
+
 ALPHA_N8 = 0.8686963871738652
 BETA_N8 = 0.13403004969375013
 
@@ -106,6 +176,7 @@ def workdir(tmp_path):
     (tmp_path / "uniform.problem").write_text(PROBLEM_UNIFORM)
     (tmp_path / "frozen.problem").write_text(PROBLEM_FROZEN)
     (tmp_path / "boundary.problem").write_text(PROBLEM_BOUNDARY)
+    (tmp_path / "mixed.problem").write_text(PROBLEM_333)
     return tmp_path
 
 
@@ -220,6 +291,28 @@ class TestExponent:
             "exponent", str(workdir / "uniform.problem"), "--gg", "2,1,1"
         )
         assert code == 1 and "p,sigma,h1,h2" in err
+
+    @pytest.mark.parametrize("problem, tail, golden", [
+        ("frozen.problem", ["--channel", "noisy.kernel"], GOLDEN_FROZEN_NOISY),
+        ("mixed.problem", ["--gg", "2,1,1,1"], GOLDEN_333_GG),
+    ])
+    def test_stdout_is_golden(self, run, workdir, problem, tail, golden):
+        tail = [str(workdir / t) if t.endswith(".kernel") else t for t in tail]
+        code, out, err = run("exponent", str(workdir / problem), *tail)
+        assert (code, err) == (0, "")
+        assert out == golden
+
+    def test_undominated_null_is_one_error_line(self, run, tmp_path, workdir):
+        # P charges 0 1 0 and 1 0 1, where Q has no mass; the first in
+        # row-major order is named
+        bad = tmp_path / "bad.problem"
+        bad.write_text("2 2 2\n0.25 0\n0.25 0\n0 0.25\n0.25 0\n\n"
+                       "0.5 0\n0 0\n0 0\n0.5 0\n")
+        code, out, err = run(
+            "exponent", str(bad), "--channel", str(workdir / "noisy.kernel")
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: P > 0 but Q == 0 at cell (0, 1, 0)\n"
 
     def test_undominated_null_fails(self, run, tmp_path, workdir):
         bad = tmp_path / "bad.problem"

@@ -14,10 +14,14 @@ from steinmac.errors import (
 )
 from steinmac.channels import ChannelClass
 from steinmac.exponents import (
+    _FACE_SWEEPS,
+    IProjectionResult,
     MarginalConstraintSet,
     _certifies_face,
     _normalize_constraints,
+    _restrict_to_face,
     _sweep_plan,
+    _unwrap_joint,
     brute_force_min_kl,
     local_stein_exponent,
     min_kl_fixed_marginals,
@@ -364,3 +368,103 @@ class TestBoundaryFace:
         for axis, target in cons.items():
             got = res.argmin.sum(axis=tuple(a for a in range(len(dims)) if a != axis))
             assert np.abs(got - target.probs).sum() <= 1e-10
+
+
+def reference_ipf(q, constraints, tol=1e-10, max_iters=10**6):
+    """The plain IPF loop, which sums every constrained marginal afresh for
+    each update and again for each sweep's residual: the reference that
+    min_kl_fixed_marginals must match bit for bit."""
+    qa = _unwrap_joint(q)
+    cons = _normalize_constraints(qa, constraints)
+    if not cons:
+        return IProjectionResult(0.0, qa.copy(), 0, 0.0, int(np.count_nonzero(qa)))
+    steps = _sweep_plan(qa.ndim, cons)
+    p = qa.copy()
+    sweeps = 0
+    face_check = _FACE_SWEEPS
+    while True:
+        for axis, target, others, shape in steps:
+            m = p.sum(axis=others)
+            if m.all():
+                factor = target / m
+            else:
+                dead = m == 0
+                unreachable = dead & (target > 0)
+                if unreachable.any():
+                    sym = int(np.flatnonzero(unreachable)[0])
+                    raise NoFeasiblePoint(
+                        f"target puts mass {target[sym]:.6g} on symbol {sym} of "
+                        f"axis {axis}, but no feasible joint can reach it"
+                    )
+                factor = np.divide(target, m, out=np.zeros_like(target), where=~dead)
+            p *= factor.reshape(shape)
+        sweeps += 1
+        residual = max([
+            float(np.abs(p.sum(axis=others) - target).sum())
+            for _, target, others, _ in steps
+        ])
+        if residual <= tol:
+            break
+        if sweeps >= max_iters:
+            raise NonConvergence(residual, sweeps)
+        if sweeps == face_check:
+            face_check *= 10
+            _restrict_to_face(p, qa, steps)
+    return IProjectionResult(
+        kl_divergence(p, qa), p, sweeps, residual, int(np.count_nonzero(p))
+    )
+
+
+def assert_same_solve(q, cons, **kwargs):
+    """The solver and reference_ipf agree bit for bit: the same value,
+    minimizer, sweeps, residual and face, or the same exception."""
+    try:
+        want = reference_ipf(q, cons, **kwargs)
+    except Exception as e:
+        with pytest.raises(type(e)) as err:
+            min_kl_fixed_marginals(q, cons, **kwargs)
+        assert str(err.value) == str(e)
+        return None
+    got = min_kl_fixed_marginals(q, cons, **kwargs)
+    assert got.value == want.value
+    assert got.argmin.tobytes() == want.argmin.tobytes()
+    assert (got.iterations, got.residual, got.face) == (
+        want.iterations, want.residual, want.face
+    )
+    return got
+
+
+class TestSweepMatchesReference:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_random_instances(self, data):
+        # integer weights 0-3 per cell give zero cells in P and Q; P is
+        # either dominated by Q or drawn apart from it, which makes some
+        # instances infeasible or stall into the face search
+        dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=3)))
+        size = int(np.prod(dims))
+        weights = st.lists(st.integers(0, 3), min_size=size, max_size=size)
+        q = np.array(data.draw(weights), dtype=float)
+        q[0] += q.sum() == 0
+        p = np.array(data.draw(weights), dtype=float)
+        if data.draw(st.booleans()):
+            p *= q > 0
+        p[int(np.flatnonzero(q)[0])] += p.sum() == 0
+        p, q = (p / p.sum()).reshape(dims), (q / q.sum()).reshape(dims)
+        axes = sorted(data.draw(st.sets(st.integers(0, 2))))
+        tol = data.draw(st.sampled_from([1e-10, 1e-6, 1e-2]))
+        max_iters = data.draw(st.sampled_from([1, 2, 150, 1200]))
+        cons = _marginals(p, axes)
+        got = assert_same_solve(q, cons, tol=tol, max_iters=max_iters)
+        if got is not None and axes:
+            gaps = [
+                float(np.abs(got.argmin.sum(axis=tuple(a for a in range(3) if a != axis))
+                             - target.probs).sum())
+                for axis, target in cons.items()
+            ]
+            assert got.residual == max(gaps)
+
+    def test_boundary_instance(self):
+        p, q = boundary_instance()
+        got = assert_same_solve(q, _marginals(p, range(3)))
+        assert got.face == 2 and got.iterations > _FACE_SWEEPS

@@ -41,6 +41,49 @@ class TestPmf:
         assert list(Pmf([0.5, 0.0, 0.5]).support) == [0, 2]
 
 
+class TestValidationMessages:
+    """One min and one sum accept a pmf; a rejected one still names its
+    fault: a non-finite or negative entry before an off-unit sum."""
+
+    ENTRIES = "entries must be finite and nonnegative"
+
+    @pytest.mark.parametrize("make, what, shape", [
+        (Pmf, "Pmf", (4,)),
+        (Joint3Pmf, "Joint3Pmf", (2, 1, 2)),
+    ])
+    @pytest.mark.parametrize("cell, value, fault", [
+        (1, np.nan, ENTRIES),
+        (2, np.inf, ENTRIES),
+        (0, -np.inf, ENTRIES),
+        (3, -0.25, ENTRIES),
+        (3, 0.5, "sum"),
+        (0, 0.0, "sum"),
+    ])
+    def test_fault_named(self, make, what, shape, cell, value, fault):
+        probs = np.full(4, 0.25)
+        probs[cell] = value
+        with pytest.raises(ValueError) as err:
+            make(probs.reshape(shape))
+        if fault == "sum":
+            total = float(probs.sum())
+            assert str(err.value) == f"{what} must sum to 1 within 1e-12, got {total!r}"
+        else:
+            assert str(err.value) == f"{what} {fault}"
+
+    def test_nan_with_unit_sum_elsewhere(self):
+        # a NaN makes the min NaN, which fails min() >= 0, and is named as
+        # non-finite rather than as a bad sum
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Pmf([0.5, np.nan, 0.5])
+
+    def test_accepted_array_is_a_read_only_copy(self):
+        src = np.array([0.25, 0.75])
+        p = Pmf(src)
+        src[0] = 0.5
+        assert p.probs.tolist() == [0.25, 0.75]
+        assert not p.probs.flags.writeable
+
+
 class TestJoint3Pmf:
     def test_dims(self):
         j = Joint3Pmf(np.full((2, 3, 2), 1 / 12))

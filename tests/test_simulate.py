@@ -169,6 +169,18 @@ class TestProblemValidation:
         with pytest.raises(AbsoluteContinuityViolation):
             TestProblem(Joint3Pmf(p), Joint3Pmf(q))
 
+    def test_first_undominated_cell_named(self):
+        # P charges 011 and 101 where Q has no mass; 011 comes first in
+        # row-major order
+        q = np.zeros((2, 2, 2))
+        q[0, 0, 0] = q[1, 1, 1] = 0.5
+        p = np.full((2, 2, 2), 0.0)
+        p[0, 0, 0] = p[0, 1, 1] = p[1, 0, 1] = p[1, 1, 1] = 0.25
+        with pytest.raises(AbsoluteContinuityViolation) as err:
+            TestProblem(Joint3Pmf(p), Joint3Pmf(q))
+        assert err.value.cell == (0, 1, 1)
+        assert str(err.value) == "P > 0 but Q == 0 at cell (0, 1, 1)"
+
 
 class TestWilson:
     def test_boundaries_are_exact(self):
