@@ -83,7 +83,8 @@ class Dmmac:
             rows = k.sum(axis=2)
             bad = np.unravel_index(int(np.argmax(np.abs(rows - 1.0))), rows.shape)
             raise ValueError(
-                f"kernel row {bad} sums to {rows[bad]!r}, expected 1 within {_ROW_TOL}"
+                f"kernel row {tuple(map(int, bad))} sums to {float(rows[bad])!r}, "
+                f"expected 1 within {_ROW_TOL}"
             )
         k.flags.writeable = False
         object.__setattr__(self, "kernel", k)

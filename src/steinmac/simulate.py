@@ -184,23 +184,29 @@ def _map_blocks(trials: int, seed, workers: int, block_fn) -> list:
     return [block_fn(s, c) for s, c in zip(seeds, counts)]
 
 
-def _read_plan(dims, scheme: Scheme) -> tuple:
-    """(incidence, bounds), built once per estimator call. incidence is the
-    0/1 matrix (read symbols, cells) from the joint cells of `dims` to the
-    symbols of every axis the rule reads, or None in place of the
-    identity: when the rule reads one axis and the joint has no other, the
-    cell counts are that axis's counts. bounds is (lo, hi, rows): every
-    read symbol's typical count interval, stacked axis by axis as columns
-    (read symbols, 1), and each read axis's slice of those rows."""
-    axes = pinned_axes(scheme.cls)
+def _read_bounds(scheme: Scheme) -> tuple:
+    """(lo, hi, rows): every read symbol's typical count interval, stacked
+    axis by axis as columns (read symbols, 1), and each read axis's slice
+    of those rows."""
     lo, hi, rows, start = [], [], {}, 0
-    for a in axes:
+    for a in pinned_axes(scheme.cls):
         a_lo, a_hi = typical_bounds(scheme.ref(a), scheme.mu, scheme.n)
         lo.append(a_lo)
         hi.append(a_hi)
         rows[a] = slice(start, start + a_lo.size)
         start += a_lo.size
-    bounds = (np.concatenate(lo)[:, None], np.concatenate(hi)[:, None], rows)
+    return np.concatenate(lo)[:, None], np.concatenate(hi)[:, None], rows
+
+
+def _read_plan(dims, scheme: Scheme) -> tuple:
+    """(incidence, bounds), built once per sampling estimator call.
+    incidence is the 0/1 matrix (read symbols, cells) from the joint cells
+    of `dims` to the symbols of every axis the rule reads, or None in place
+    of the identity: when the rule reads one axis and the joint has no
+    other, the cell counts are that axis's counts. bounds is
+    _read_bounds's."""
+    axes = pinned_axes(scheme.cls)
+    bounds = _read_bounds(scheme)
     cells = math.prod(dims)
     if len(axes) == 1 and cells == dims[axes[0]]:
         return None, bounds
@@ -322,22 +328,28 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     The rule reads only the symbol counts of each read axis, so this is a
     dynamic program over the lattice of those counts: one dimension per
     symbol of each read axis except its likeliest reference symbol, whose
-    count follows from n. Each of the n steps adds, for every cell of the
-    support, the cell's probability times the lattice shifted by the
-    cell's symbols. Counts only grow, so a count above its symbol's
-    typical interval is dropped for good, and a reference symbol of
-    probability zero keeps a dimension of size one. Each step rescales
-    the lattice by a power of two, which loses no precision, so no state
-    underflows while pruning drains the mass.
+    count follows from n, and except a symbol whose typical count is at
+    most 0: a cell that shows such a symbol is rejected for good. Counts
+    only grow, so a count above its symbol's interval is dropped for good
+    too.
+
+    The lattice is stored flat, dimensions by decreasing cap, each with
+    one overflow slot past its cap, so a cell's move is one fixed offset,
+    the sum of the strides of the dimensions it raises. Each of the n steps
+    adds, for every cell of the support, the cell's probability times the
+    lattice shifted by that offset, over the prefix the step can reach,
+    then zeroes the overflow slots. Each step rescales the lattice by a
+    power of two, which loses no precision, so no state underflows while
+    pruning drains the mass.
     """
     axes = pinned_axes(scheme.cls)
     drop = tuple(a for a in range(3) if a not in axes)
     reduced = joint.probs.sum(axis=drop) if drop else joint.probs
     n = scheme.n
-    _, bounds = _read_plan(joint.dims, scheme)
+    bounds = _read_bounds(scheme)
     _, hi, rows = bounds
 
-    free, dim_of, caps = [], [], []  # per read axis; caps per lattice dim
+    free, dim_of, caps = [], [], []  # per read axis; caps per counted symbol
     for axis in axes:
         ref = scheme.ref(axis).probs
         free.append(int(np.argmax(ref)))
@@ -346,35 +358,48 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
             if s != free[-1]:
                 dim_of[-1][s] = len(caps)
                 caps.append(cap)
-    states = math.prod(c + 1 for c in caps)
+    order = sorted((d for d, c in enumerate(caps) if c > 0), key=lambda d: -caps[d])
+    shape = [caps[d] + 2 for d in order]  # counts 0..cap, then overflow
+    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    stride_of = dict(zip(order, strides))
+    size = math.prod(shape)
+    pad = sum(strides)  # the largest move, so every shifted slice fits
+    states = size + pad
     if states > _MAX_STATES:
         raise InstanceTooLarge(
-            f"{states} marginal-count states exceed the {_MAX_STATES} cap"
+            f"{states} padded lattice states exceed the {_MAX_STATES} cap"
         )
     if n * states > _MAX_STEP_STATES:
         raise InstanceTooLarge(
-            f"{n} steps over {states} marginal-count states exceed the "
+            f"{n} steps over {states} padded lattice states exceed the "
             f"{_MAX_STEP_STATES} step-state cap"
         )
 
-    moves = [  # (cell probability, lattice dims the cell's symbols raise)
-        (float(reduced[cell]), {d[s] for d, s in zip(dim_of, cell) if s in d})
-        for cell in zip(*np.nonzero(reduced))
-    ]
-    lat = np.zeros([c + 1 for c in caps])
-    lat[(0,) * lat.ndim] = 1.0
-    nxt = np.zeros_like(lat)
+    moves = []  # (cell probability, flat offset of the cell's move)
+    for cell in zip(*np.nonzero(reduced)):
+        raised = [d[s] for d, s in zip(dim_of, cell) if s in d]
+        if all(d in stride_of for d in raised):
+            moves.append((float(reduced[cell]), sum(stride_of[d] for d in raised)))
+    box = tuple(slice(0, -1) for _ in shape)  # the states with no overflow
+    keep = np.zeros(states, dtype=bool)
+    keep[:size].reshape(shape)[box] = True
+    lead_cap, lead_stride = (caps[order[0]], strides[0]) if order else (0, 1)
+    lat = np.zeros(states)
+    lat[0] = 1.0
+    nxt = np.zeros(states)
+    tmp = np.empty(states)
     exp2 = 0  # lat times 2**exp2 is the probability of each count vector
     for t in range(n):
-        # before this step no count exceeds t, so only [0, min(t+1, cap)]
-        # of each dimension can be reached after it
-        top = [min(t + 1, c) + 1 for c in caps]
-        out = nxt[(*(slice(0, h) for h in top), ...)]  # a view, even at 0-d
+        # before this step no count exceeds min(t, cap), so every reached
+        # state lies in the prefix whose lead count is at most min(t, cap)
+        m = (min(t, lead_cap) + 1) * lead_stride
+        src, part, out = lat[:m], tmp[:m], nxt[:m + pad]
         out.fill(0.0)
-        for p, dims in moves:
-            dst = tuple(slice(int(d in dims), h) for d, h in enumerate(top))
-            src = tuple(slice(0, h - int(d in dims)) for d, h in enumerate(top))
-            out[dst] += p * lat[src]
+        for p, off in moves:
+            np.multiply(src, p, out=part)
+            dst = out[off:off + m]
+            np.add(dst, part, out=dst)
+        out *= keep[:m + pad]
         peak = out.max()
         if peak == 0.0:
             return 0.0
@@ -383,11 +408,12 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
         exp2 += e
         lat, nxt = nxt, lat
 
-    grid = np.ix_(*(np.arange(size) for size in lat.shape))  # count per dim
-    sums = []  # every read symbol's count at every lattice state
-    for axis, f, dims in zip(axes, free, dim_of):
-        cols = [grid[dims[s]] if s in dims else 0 for s in range(len(dims) + 1)]
-        cols[f] = n - sum(grid[d] for d in dims.values())
+    lat = lat[:size].reshape(shape)[box]
+    grid = dict(zip(order, np.ix_(*(np.arange(c) for c in lat.shape))))
+    sums = []  # every read symbol's count at every in-box state
+    for f, dims in zip(free, dim_of):
+        cols = [grid.get(dims.get(s), 0) for s in range(len(dims) + 1)]
+        cols[f] = n - sum(cols)
         sums += cols
     sums = np.stack(np.broadcast_arrays(*sums)).reshape(len(sums), -1)
     flags = {a: flag.reshape(lat.shape) for a, flag in _typicality_flags(sums, bounds).items()}
@@ -444,15 +470,19 @@ def _check_tilt(problem: TestProblem, scheme: Scheme, tilt: Joint3Pmf) -> None:
             )
 
 
-def _is_block(scheme, plan, tilt_flat, log_ratio, seed_seq, count):
+def _is_block(scheme, plan, tilt_flat, log_ratio, outside, seed_seq, count):
     """Returns (hi, s1, s2): the largest log contribution, and the sums of
-    the contributions and of their squares scaled by exp(-hi), exp(-2 hi)."""
+    the contributions and of their squares scaled by exp(-hi), exp(-2 hi).
+    A trial that samples a cell of `outside` (tilted, outside Q's support)
+    has weight zero."""
     rng = np.random.default_rng(seed_seq)
     counts = rng.multinomial(scheme.n, tilt_flat, size=count)
     acc = scheme.accept_weights(_read_flags(counts, plan))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         contrib = counts @ log_ratio + np.log(acc)
+    if outside.size:
+        contrib[counts[:, outside].any(axis=1)] = -np.inf
     contrib = contrib[np.isfinite(contrib)]
     if contrib.size == 0:
         return -np.inf, 0.0, 0.0
@@ -494,15 +524,18 @@ def importance_sample_beta(
 
     tilt_flat = tilt.probs.ravel()
     q_flat = problem.q.probs.ravel()
-    # a tilt-sampled cell outside Q's support contributes weight zero (-inf);
-    # a cell the tilt never samples contributes nothing
+    # a cell the tilt never samples contributes nothing; a trial that draws
+    # one outside Q's support (log ratio -inf) gets weight zero per trial,
+    # since 0 * -inf would turn every trial's log weight into nan
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.log(q_flat) - np.log(tilt_flat)
     log_ratio[tilt_flat == 0] = 0.0
+    outside = np.flatnonzero(log_ratio == -np.inf)
+    log_ratio[outside] = 0.0
 
     plan = _read_plan(problem.q.dims, scheme)
     results = _map_blocks(trials, seed, workers, lambda seed_seq, count: _is_block(
-        scheme, plan, tilt_flat, log_ratio, seed_seq, count
+        scheme, plan, tilt_flat, log_ratio, outside, seed_seq, count
     ))
     live = [r for r in results if r[1] > 0]  # block order, not completion order
     lse = -np.inf

@@ -115,7 +115,9 @@ def test_segment_marks_resolve_and_land(monkeypatch, tmp_path, capsys):
     # word, which would only coarsen the segments whose fastest times
     # pass_s sums; so every marked name must resolve, and the block and
     # typicality marks must land inside a direct and an importance ladder,
-    # one typicality call per block and hypothesis sampled
+    # one typicality call per block and hypothesis sampled, and the exact
+    # ladder must reach the DP through the module global, once per rung
+    # and hypothesis
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.delitem(sys.modules, "segments", raising=False)
     segments = importlib.import_module("segments")
@@ -149,8 +151,11 @@ def test_segment_marks_resolve_and_land(monkeypatch, tmp_path, capsys):
     (tmp_path / "frozen.problem").write_text(PROBLEM)
     # 200 trials make one block per rung; a direct block samples both
     # hypotheses, the importance ladder's direct block only the null
-    for estimator, blocks, decided in (("direct", ("_direct_block",), 6),
-                                       ("importance", ("_direct_block", "_is_block"), 6)):
+    for estimator, blocks, per_rung, decided in (
+        ("direct", ("_direct_block",), 1, 6),
+        ("importance", ("_direct_block", "_is_block"), 1, 6),
+        ("exact", ("_exact_accept_prob",), 2, 6),
+    ):
         cfg = tmp_path / f"{estimator}.cfg"
         cfg.write_text(
             "problem = frozen.problem\nchannel.kind = dmmac\n"
@@ -172,6 +177,6 @@ def test_segment_marks_resolve_and_land(monkeypatch, tmp_path, capsys):
         for attr, fn in originals.items():
             assert getattr(simulate, attr) is fn, attr
         for attr in blocks:
-            assert clock.marked_in[originals[attr]] == 3, (estimator, attr)
+            assert clock.marked_in[originals[attr]] == 3 * per_rung, (estimator, attr)
         flags = originals["_typicality_flags"]
         assert clock.marked_in[flags] == decided, estimator

@@ -84,16 +84,13 @@ class TestDmmac:
         assert str(err.value) == "kernel entries must be finite and nonnegative"
 
     def test_off_unit_row_named(self):
-        # the worst row is named, its index and sum as numpy prints them
+        # the worst row is named, its index and sum as plain numbers
         k = np.full((2, 2, 2), 0.5)
         k[0, 1, 0] = 0.6
         k[1, 1, 1] = 0.55
         with pytest.raises(ValueError) as err:
             Dmmac(k)
-        bad = np.unravel_index(1, (2, 2))
-        assert str(err.value) == (
-            f"kernel row {bad} sums to {k.sum(axis=2)[bad]!r}, expected 1 within 1e-12"
-        )
+        assert str(err.value) == "kernel row (0, 1) sums to 1.1, expected 1 within 1e-12"
 
     def test_toggle_matches_its_definition(self):
         # some output impossible under one of the sensor's inputs and

@@ -243,13 +243,29 @@ class TestExactEnumeration:
             exact_error_probs(problem, None, scheme, 1000)
 
     def test_step_states_capped(self):
-        # 400 002 lattice states pass the state cap, but 10**6 steps over
-        # them would run for hours; the refusal comes before any work
+        # 400 003 padded lattice states pass the state cap, but 10**6 steps
+        # over them would run for hours; the refusal comes before any work
         problem, scheme = local_fixture([0.8, 0.2], [0.8, 0.2], 0.2, 10**6)
         start = time.perf_counter()
         with pytest.raises(InstanceTooLarge, match="step-state"):
             exact_error_probs(problem, None, scheme, 10**6)
         assert time.perf_counter() - start < 1.0
+
+    def test_padded_lattice_capped_before_allocation(self):
+        # two counted symbols capped at 1999: the 2000 x 2000 box of counts
+        # is exactly the cap, its padded lattice of 2001 x 2001 states and
+        # a 2002-state tail is past it; the refusal allocates nothing of the
+        # 32 MB that lattice would take
+        problem, scheme = local_fixture([0.4, 0.3, 0.3], [0.4, 0.3, 0.3], 0.1, 4998)
+        assert simulate._MAX_STATES == 2000 * 2000
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceTooLarge, match="4006003 padded lattice states"):
+                exact_error_probs(problem, None, scheme, 4998)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_blocklength_must_match_scheme(self):
         problem, ch, _, scheme = sparse_fixture()
@@ -337,6 +353,75 @@ class TestExactDpProperty:
         )
         got = _exact_accept_prob(Joint3Pmf(joint), scheme)
         assert got == pytest.approx(enumerated_accept_prob(joint, scheme), abs=1e-12)
+
+
+def binary_flag_prob(q1, ref, mu, n):
+    """Pr(an axis is typical) when its n symbols are iid with Pr(1) = q1
+    and the axis is binary: the binomial band of counts c of symbol 1 that
+    pass the float test for both symbols, each term from lgamma in log
+    space."""
+    c = np.arange(n + 1)
+    freqs = np.stack([(n - c) / n, c / n], axis=1)
+    within = np.all(np.abs(freqs - ref.probs) <= mu, axis=1)
+    within &= np.all(freqs[:, ref.probs == 0] == 0, axis=1)
+    if q1 in (0.0, 1.0):
+        return float(within[int(q1) * n])
+    log_pmf = [
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(q1) + (n - k) * math.log1p(-q1)
+        for k in c[within].tolist()
+    ]
+    return math.fsum(math.exp(x) for x in log_pmf)
+
+
+def product_accept_prob(marginals, scheme):
+    """P(decide 0) under a source that is a product over the read axes,
+    `marginals` each axis's Pr(symbol 1): the axes' count vectors are then
+    independent, so this is the sum over flag patterns of the product of
+    each axis's flag probability times the acceptance of the pattern."""
+    axes = pinned_axes(scheme.cls)
+    typical = {a: binary_flag_prob(marginals[a], scheme.ref(a), scheme.mu, scheme.n)
+               for a in axes}
+    total = 0.0
+    for pattern in itertools.product((False, True), repeat=len(axes)):
+        weight = math.prod(typical[a] if f else 1.0 - typical[a]
+                           for a, f in zip(axes, pattern))
+        total += weight * float(scheme.accept_weights(dict(zip(axes, pattern))))
+    return total
+
+
+def product_joint(*marginals):
+    """The product joint of binary axes with the given Pr(symbol 1)."""
+    return np.einsum("a,b,c->abc", *([1.0 - m, m] for m in marginals))
+
+
+class TestExactAgainstProductOracle:
+    # the README instance: uniform null against Q = (0.75, 0.25) on each
+    # axis, the noisy sparse kernel, mu = 0.2
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_readme_instance(self, n):
+        p, q = (0.5, 0.5, 0.5), (0.25, 0.25, 0.25)
+        problem = TestProblem(Joint3Pmf(product_joint(*p)), Joint3Pmf(product_joint(*q)))
+        cm = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
+        scheme = build_scheme_for_class(ChannelClass.SPARSE, sparse_channel(),
+                                        problem.p, cm, n, 0.2)
+        alpha, beta = exact_error_probs(problem, None, scheme, n)
+        assert 0 < beta < 0.05
+        assert alpha == pytest.approx(1.0 - product_accept_prob(p, scheme), rel=1e-9)
+        assert beta == pytest.approx(product_accept_prob(q, scheme), rel=1e-9)
+
+    def test_sparse_null_with_point_mass_sensor(self):
+        # u1 is always 1 under the null, so u1's symbol 0 has the typical
+        # interval [0, 0] and no lattice dimension: every alternative
+        # sequence that holds a 0 on u1 is rejected as it is drawn
+        n, p, q = 200, (1.0, 0.5, 0.5), (0.5, 0.6, 0.7)
+        problem = TestProblem(Joint3Pmf(product_joint(*p)), Joint3Pmf(product_joint(*q)))
+        _, ch, cm = criterion09_fixture()
+        scheme = build_scheme_for_class(ChannelClass.SPARSE, ch, problem.p, cm, n, 0.05)
+        alpha, beta = exact_error_probs(problem, ch, scheme, n)
+        assert 0 < beta < 0.5**n
+        assert alpha == pytest.approx(1.0 - product_accept_prob(p, scheme), rel=1e-9)
+        assert beta == pytest.approx(product_accept_prob(q, scheme), rel=1e-9)
 
 
 class TestExactAtLadderScale:
@@ -669,6 +754,17 @@ class TestImportanceSampling:
         )
         assert beta_hat == pytest.approx(0.45**100, rel=1e-12)
         assert var == pytest.approx(0.0, abs=1e-250)
+
+    def test_tilt_outside_alternative_support(self):
+        # the tilt charges symbol 2, which Q never produces: a trial that
+        # draws it has weight zero, and every other trial keeps its weight
+        problem, scheme = local_fixture([0.5, 0.5, 0.0], [0.6, 0.4, 0.0], 0.2, 20)
+        tilt = np.array([0.45, 0.45, 0.1]).reshape(1, 1, 3)
+        est = importance_sample_beta(problem, None, scheme, 20, 20_000, tilt=tilt, seed=3)
+        _, beta = exact_error_probs(problem, None, scheme, 20)
+        assert beta == pytest.approx(0.8728, abs=1e-4)
+        assert est.std_err > 0
+        assert abs(est[0] - beta) <= 4 * est.std_err
 
     def test_std_err_is_root_of_variance(self):
         problem, ch, _, scheme = sparse_fixture()
