@@ -3,9 +3,11 @@
 A discrete two-sender channel is classified by which sensors can gate an
 output on and off. Sensor 1 can toggle when some output is impossible
 under one of its inputs yet possible under another, with the partner
-input held fixed; sensor 2 symmetrically. Both toggles, one, or neither
-give four classes, and the toggle witnesses double as marker symbols for
-the communication schemes.
+input held fixed; sensor 2 symmetrically. Classification and the marker
+search read one (pilot, output) toggle table per sensor, in which an output
+no input pair produces never toggles. Both toggles, one, or neither give
+four classes, and the toggle witnesses double as marker symbols for the
+communication schemes.
 
 The continuous channel is Y = h1 x1 + h2 x2 + Z with Z generalized
 Gaussian of shape p and scale sigma. Its density normalizer, sampler,
@@ -23,7 +25,6 @@ import numpy as np
 
 from .errors import (
     BlocklengthTooSmall,
-    EmptyOutputAlphabet,
     LengthMismatch,
     MarkerMismatch,
     NoMarkers,
@@ -97,34 +98,25 @@ class Dmmac:
         return isinstance(other, Dmmac) and np.array_equal(self.kernel, other.kernel)
 
 
-def prune_unreachable_outputs(ch: Dmmac) -> Dmmac:
-    """Drop outputs with zero probability under every input pair.
-
-    A dead output column would make the no-toggle condition look like full
-    connectivity even though the surviving kernel has zeros, so
-    classification is stated on the pruned kernel.
-    """
-    reach = ch.kernel.sum(axis=(0, 1)) > 0
-    if reach.all():
-        return ch
-    if not reach.any():
-        raise EmptyOutputAlphabet("every output is unreachable")
-    return Dmmac(ch.kernel[:, :, reach])
+def _toggle_table(ch: Dmmac, sensor: int) -> np.ndarray:
+    """Boolean (partner pilot, output) table of the sensor's toggles: with
+    the partner sending the pilot, the output is impossible under some
+    input of the sensor and possible under another. An output that no
+    input pair produces is zero along the whole axis, so it never toggles."""
+    if sensor not in (1, 2):
+        raise ValueError("sensor must be 1 or 2")
+    zero = ch.kernel == 0  # entries are nonnegative, so the rest are positive
+    return zero.any(axis=sensor - 1) & ~zero.all(axis=sensor - 1)
 
 
 def toggle_predicate(ch: Dmmac, sensor: int) -> bool:
     """Whether the sensor can make some output impossible or possible by
     switching its own input, for some fixed partner input."""
-    if sensor not in (1, 2):
-        raise ValueError("sensor must be 1 or 2")
-    axis = 0 if sensor == 1 else 1
-    zero = ch.kernel == 0  # entries are nonnegative, so the rest are positive
-    return bool((zero.any(axis=axis) & ~zero.all(axis=axis)).any())
+    return bool(_toggle_table(ch, sensor).any())
 
 
 def classify(ch: Dmmac) -> ChannelClass:
-    pruned = prune_unreachable_outputs(ch)
-    toggles = tuple(s for s in (1, 2) if toggle_predicate(pruned, s))
+    toggles = tuple(s for s in (1, 2) if toggle_predicate(ch, s))
     return next(c for c in ChannelClass if c.signalling == toggles)
 
 
@@ -174,16 +166,12 @@ class MarkerSet:
 def _first_witness(ch: Dmmac, sensor: int) -> ToggleWitness | None:
     # scan outputs first: the witness is "the first output some input of
     # this sensor can switch off", then pilot, then the off/on inputs
-    k = ch.kernel
-    n_own, n_partner = k.shape[sensor - 1], k.shape[2 - sensor]
-    for y in range(k.shape[2]):
-        for pilot in range(n_partner):
-            col = [k[ToggleWitness.inputs(sensor, x, pilot)][y] for x in range(n_own)]
-            off = next((x for x, v in enumerate(col) if v == 0), None)
-            on = next((x for x, v in enumerate(col) if v > 0), None)
-            if off is not None and on is not None:
-                return ToggleWitness(off, on, pilot, y)
-    return None
+    table = _toggle_table(ch, sensor).T  # (output, pilot): the scan order
+    if not table.any():
+        return None
+    y, pilot = (int(i) for i in np.unravel_index(int(np.argmax(table)), table.shape))
+    col = ch.kernel[(*ToggleWitness.inputs(sensor, slice(None), pilot), y)]
+    return ToggleWitness(int(np.argmax(col == 0)), int(np.argmax(col > 0)), pilot, y)
 
 
 def find_markers(ch: Dmmac, cls: ChannelClass) -> MarkerSet:

@@ -45,10 +45,6 @@ class DimensionTooLarge(SteinmacError, ValueError):
     """Problem size exceeds what exhaustive search supports."""
 
 
-class EmptyOutputAlphabet(SteinmacError, ValueError):
-    """Pruning removed every channel output."""
-
-
 class NoMarkers(SteinmacError):
     """The channel class provides no marker structure for this request."""
 

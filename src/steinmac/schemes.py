@@ -124,20 +124,24 @@ class Scheme:
                 return 1
         return 0 if is_strongly_typical(v, self.ref_v, self.mu) else 1
 
-    def accept_weights(self, flags: dict) -> np.ndarray:
+    def accept_weights(self, flags: dict, hits=None) -> np.ndarray:
         """P(decide 0) given the typicality flags of the axes the rule
         reads, keyed by axis (0: u1, 1: u2, 2: v); flags of different axes
         may be arrays that broadcast together.
 
-        Every read flag must pass. Signaled markers are the only channel
-        randomness the rule looks at: an on-block misses the marker in all
-        k slots with probability (1 - p)^k, and an off-block can never
-        produce it.
+        Every read flag must pass, and so must every signaled marker, which
+        only an on-block (sent when the sensor's flag passes) can produce.
+        `hits` holds, for each signalling sensor in slot order, the chance
+        that its on-block shows the marker: by default 1 - (1 - p)^k, the
+        complement of missing it in all k slots; a sampler passes the 0/1
+        outcomes it drew.
         """
+        if hits is None:
+            p = {1: self.p_marker1, 2: self.p_marker2}
+            hits = [1.0 - (1.0 - p[s]) ** self.k for s in self.cls.signalling]
         acc = np.where(flags[2], 1.0, 0.0)
-        for s in self.cls.signalling:
-            p = self.p_marker1 if s == 1 else self.p_marker2
-            acc = acc * np.where(flags[s - 1], 1.0 - (1.0 - p) ** self.k, 0.0)
+        for s, hit in zip(self.cls.signalling, hits):
+            acc = acc * np.where(flags[s - 1], hit, 0.0)
         return acc
 
 

@@ -16,7 +16,8 @@ Three estimators with one reproducibility contract:
 
 All three decide typicality from the same per-symbol count intervals
 (prob.typical_bounds), computed once per call for every symbol the rule
-reads, as Scheme.encode and Scheme.decide do for one sequence.
+reads, as Scheme.encode and Scheme.decide do for one sequence, and accept
+through Scheme.accept_weights, direct Monte-Carlo with the markers it drew.
 
 All randomness is derived from (seed, block index), never from thread
 scheduling, and block results are reduced in block order, so reports are
@@ -27,13 +28,15 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import Dmmac, gg_sample  # noqa: F401  (bench traces it by name)
+from .channels import Dmmac
+from .channels import gg_sample  # noqa: F401  (bench traces it by name)
 from .errors import (
     DegenerateFit,
     InstanceTooLarge,
@@ -86,12 +89,14 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        ladder = tuple(int(n) for n in self.n_ladder)
+        ladder = tuple(_as_index("n_ladder", n) for n in self.n_ladder)
         if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise OutOfRange("n_ladder", "must be a nonempty strictly increasing list")
         if any(n < 1 for n in ladder):
             raise OutOfRange("n_ladder", "must hold blocklengths >= 1")
         object.__setattr__(self, "n_ladder", ladder)
+        for name in ("trials", "master_seed", "workers"):
+            object.__setattr__(self, name, _as_index(name, getattr(self, name)))
         if self.trials < 1:
             raise OutOfRange("trials", "must be >= 1")
         if self.master_seed < 0:
@@ -102,6 +107,14 @@ class SimConfig:
             raise OutOfRange("mu", "must lie in (0, 1)")
         if self.workers < 1:
             raise OutOfRange("workers", "must be >= 1")
+
+
+def _as_index(field: str, value) -> int:
+    """An integer config value as an int; a float, even 10.0, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OutOfRange(field, f"must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -244,20 +257,6 @@ def _marker_shown(row: np.ndarray, marker: int, u: np.ndarray) -> np.ndarray:
     return ((u >= lo) & (u < hi)).any(axis=1)
 
 
-def _batch_accept(scheme: Scheme, counts, shown, plan):
-    """Decide-0 of every trial, from its source joint-cell counts (trials,
-    cells) and, for each signalling sensor, whether its on-input block
-    shows the marker in some slot (trials,). A sensor sends on exactly
-    when its observation is typical, and the off input cannot produce the
-    marker, so a trial accepts when every read flag passes and every
-    signalling sensor's marker is shown. `plan` is `_read_plan`'s."""
-    flags = _read_flags(counts, plan)
-    accept = flags[2]
-    for sensor, on_shown in zip(scheme.cls.signalling, shown):
-        accept = accept & flags[sensor - 1] & on_shown
-    return accept
-
-
 def _direct_block(problem, channel, scheme, plan, seed_seq, count, sides):
     rng = np.random.default_rng(seed_seq)
     # marker presence is decided before branching on the hypothesis, and
@@ -275,7 +274,8 @@ def _direct_block(problem, channel, scheme, plan, seed_seq, count, sides):
         if side in sides:
             rng.bit_generator.state = start
             counts = rng.multinomial(scheme.n, joint.probs.ravel(), size=count)
-            accepted[side] = int(_batch_accept(scheme, counts, shown, plan).sum())
+            flags = _read_flags(counts, plan)  # the drawn markers are the hits
+            accepted[side] = int(np.count_nonzero(scheme.accept_weights(flags, shown)))
     return count - accepted.get("null", count), accepted.get("alt", 0)
 
 
@@ -572,8 +572,10 @@ def fit_exponent(points) -> float:
     pts = [(int(n), float(b)) for n, b in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 (n, beta) points")
-    if any(b < 0 or b > 1 for _, b in pts):
+    if not all(0 <= b <= 1 for _, b in pts):  # NaN fails too
         raise ValueError("beta estimates must lie in [0, 1]")
+    if len({n for n, _ in pts}) < 2:
+        raise ValueError("need at least 2 distinct blocklengths")
     zeros = [n for n, b in pts if b == 0.0]
     if zeros:
         alive = [(n, b) for n, b in pts if b > 0]
@@ -610,8 +612,7 @@ def run_ladder(problem: TestProblem, channel, cls, config: SimConfig) -> SimRepo
     tilt = _as_tilt(projection.argmin)
     points = []
     for n in config.n_ladder:
-        dm = channel if isinstance(channel, Dmmac) else None
-        scheme = build_scheme_for_class(cls, dm, problem.p, config.cost_model, n, config.mu)
+        scheme = build_scheme_for_class(cls, channel, problem.p, config.cost_model, n, config.mu)
         est = config.estimator
         if est == "exact":
             alpha, beta = exact_error_probs(problem, channel, scheme, n)

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaincc
 from scipy.stats import norm
@@ -12,6 +15,7 @@ from steinmac.channels import (
     CostModel,
     Dmmac,
     GgMac,
+    ToggleWitness,
     classify,
     cost_budget,
     find_markers,
@@ -24,13 +28,11 @@ from steinmac.channels import (
     admissible,
     load_dmmac,
     parse_dmmac,
-    prune_unreachable_outputs,
     toggle_predicate,
     verify_markers,
 )
 from steinmac.errors import (
     BlocklengthTooSmall,
-    EmptyOutputAlphabet,
     LengthMismatch,
     MarkerMismatch,
     NoMarkers,
@@ -107,28 +109,6 @@ class TestDmmac:
                 assert toggle_predicate(ch, sensor) == want
 
 
-class TestPruning:
-    def test_zero_column_removed(self):
-        k = np.zeros((2, 2, 3))
-        k[:, :, 0] = 0.3
-        k[:, :, 2] = 0.7
-        pruned = prune_unreachable_outputs(Dmmac(k))
-        assert pruned.dims == (2, 2, 2)
-        assert np.allclose(pruned.kernel[:, :, 0], 0.3)
-
-    def test_all_positive_unchanged(self):
-        k = np.full((2, 2, 2), 0.5)
-        pruned = prune_unreachable_outputs(Dmmac(k))
-        assert pruned.dims == (2, 2, 2)
-
-    def test_rarely_reachable_output_kept(self):
-        k = np.zeros((2, 2, 3))
-        k[:, :, 0] = 1.0
-        k[1, 1] = [0.0, 0.5, 0.5]
-        pruned = prune_unreachable_outputs(Dmmac(k))
-        assert pruned.dims == (2, 2, 3)
-
-
 class TestToggle:
     def test_all_positive_false(self):
         ch = Dmmac(np.full((2, 2, 2), 0.5))
@@ -183,8 +163,9 @@ class TestClassify:
             labels.add(cls)
         assert labels == set(ChannelClass)
 
-    def test_full_class_is_fully_positive_after_pruning(self):
-        # no toggles in either direction forces a strictly positive kernel
+    def test_full_class_is_positive_on_every_reachable_output(self):
+        # no toggles in either direction: an output that some input pair
+        # produces is produced by every input pair
         rng = np.random.default_rng(17)
         seen = 0
         for _ in range(400):
@@ -200,8 +181,78 @@ class TestClassify:
             ch = Dmmac(k)
             if classify(ch) is ChannelClass.FULL:
                 seen += 1
-                assert np.all(prune_unreachable_outputs(ch).kernel > 0)
+                reachable = ch.kernel.sum(axis=(0, 1)) > 0
+                assert np.all(ch.kernel[:, :, reachable] > 0)
         assert seen > 0
+
+    def test_dead_output_columns_change_nothing(self):
+        # an output no input pair produces never toggles, wherever it sits
+        for ch in (adder_kernel(), fading_kernel((1,), (-1, 1)),
+                   fading_kernel((-1, 1), (1,)), Dmmac(np.full((2, 2, 2), 0.5))):
+            cls = classify(ch)
+            for at in (0, ch.dims[2]):
+                padded = Dmmac(np.insert(ch.kernel, [at, at], 0.0, axis=2))
+                assert classify(padded) is cls
+            appended = Dmmac(np.concatenate([ch.kernel, np.zeros((2, 2, 3))], axis=2))
+            if cls.signalling:
+                assert find_markers(appended, cls) == find_markers(ch, cls)
+
+
+def scan_witness(kernel, sensor):
+    """The marker search as a plain scan: outputs first, then partner
+    pilots, then the first input that makes the output impossible and the
+    first that makes it possible."""
+    n_own, n_partner = kernel.shape[sensor - 1], kernel.shape[2 - sensor]
+    for y in range(kernel.shape[2]):
+        for pilot in range(n_partner):
+            col = [kernel[ToggleWitness.inputs(sensor, x, pilot)][y] for x in range(n_own)]
+            off = next((x for x, v in enumerate(col) if v == 0), None)
+            on = next((x for x, v in enumerate(col) if v > 0), None)
+            if off is not None and on is not None:
+                return ToggleWitness(off, on, pilot, y)
+    return None
+
+
+def pruned_class(kernel):
+    """The class of the kernel once the outputs no input pair produces are
+    removed: a sensor signals when the scan finds it a witness there."""
+    live = kernel[:, :, kernel.sum(axis=(0, 1)) > 0]
+    toggles = tuple(s for s in (1, 2) if scan_witness(live, s) is not None)
+    return next(c for c in ChannelClass if c.signalling == toggles)
+
+
+class TestToggleTable:
+    """Classification and the marker search read one toggle table; here
+    they are checked against a plain scan and against classifying the
+    kernel with its dead outputs pruned."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
+        dead=st.integers(0, 3),
+        zero_frac=st.sampled_from([0.0, 0.3, 0.6, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scan_on_kernels_with_dead_outputs(self, dims, dead, zero_frac, seed):
+        rng = np.random.default_rng(seed)
+        live = rng.random(dims) * (rng.random(dims) >= zero_frac)
+        live[..., 0] += live.sum(axis=2) == 0
+        k = np.zeros(dims[:2] + (dims[2] + dead,))
+        k[..., np.sort(rng.choice(dims[2] + dead, dims[2], replace=False))] = live
+        ch = Dmmac(k / k.sum(axis=2, keepdims=True))
+
+        cls = classify(ch)
+        assert cls is pruned_class(ch.kernel)
+        for sensor in (1, 2):
+            want = scan_witness(ch.kernel, sensor)
+            assert toggle_predicate(ch, sensor) == (want is not None)
+            assert (want is not None) == (sensor in cls.signalling)
+        if cls.signalling:
+            markers = find_markers(ch, cls)
+            for sensor in cls.signalling:
+                got = markers.witness(sensor)
+                assert got == scan_witness(ch.kernel, sensor)
+                assert all(type(v) is int for v in dataclasses.astuple(got))
 
 
 class TestMarkers:

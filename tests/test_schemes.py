@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -228,6 +229,25 @@ class TestAcceptProbGivenFlags:
         s = build_local_scheme(Pmf([0.5, 0.5]), 0.2, 10)
         assert s.accept_weights({0: False, 1: False, 2: True}) == 1.0
         assert s.accept_weights({0: True, 1: True, 2: False}) == 0.0
+
+    @pytest.mark.parametrize("cls", list(ChannelClass), ids=lambda c: c.label)
+    def test_drawn_hits_give_the_boolean_rule(self, cls):
+        # with 0/1 marker outcomes the weight is the decision itself: every
+        # read flag passes and every signalling sensor's marker shows
+        s = (hand_scheme(cls) if cls.signalling
+             else build_local_scheme(Pmf([0.5, 0.5]), 0.2, 10))
+        patterns = list(itertools.product((False, True), repeat=3 + len(cls.signalling)))
+        for pattern in patterns:
+            flags, hits = dict(enumerate(pattern[:3])), pattern[3:]
+            want = flags[2] and all(flags[sensor - 1] and hit
+                                    for sensor, hit in zip(cls.signalling, hits))
+            assert s.accept_weights(flags, hits) == float(want)
+        # the same patterns as the columns of one batch, hits as arrays
+        cols = np.array(patterns).T
+        batch = s.accept_weights(dict(enumerate(cols[:3])), list(cols[3:]))
+        want = cols[2] & np.all([cols[sensor - 1] & hit
+                                 for sensor, hit in zip(cls.signalling, cols[3:])], axis=0)
+        np.testing.assert_array_equal(batch, want.astype(float))
 
 
 class TestBuilders:

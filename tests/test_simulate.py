@@ -16,6 +16,7 @@ from steinmac.errors import (
     AbsoluteContinuityViolation,
     DegenerateFit,
     InstanceTooLarge,
+    OutOfRange,
     ZeroTiltOnSupport,
 )
 from steinmac.prob import Joint3Pmf, Pmf, marginal, quantile_map
@@ -40,7 +41,6 @@ from steinmac.simulate import (
     wilson_interval,
 )
 from steinmac.simulate import (
-    _batch_accept,
     _exact_accept_prob,
     _marker_shown,
     _read_flags,
@@ -619,8 +619,8 @@ class TestBatchRule:
             for joint in (problem.p, problem.q):
                 cells = quantile_map(joint.probs.ravel(), u_src) + rows
                 counts = np.bincount(cells.ravel(), minlength=trials * 8).reshape(trials, 8)
-                plan = _read_plan(joint.dims, scheme)
-                batch = _batch_accept(scheme, counts, shown, plan)
+                flags = _read_flags(counts, _read_plan(joint.dims, scheme))
+                batch = scheme.accept_weights(flags, shown)
                 ref = per_sequence_accepts(joint, ch, scheme, u_src, u_marker)
                 np.testing.assert_array_equal(batch, ref)
                 outcomes.update(batch.tolist())
@@ -860,6 +860,15 @@ class TestFitExponent:
         with pytest.raises(ValueError, match="beta"):
             fit_exponent([(10, 0.5), (20, 1.25), (30, 0.1)])
 
+    def test_rejects_nan_beta(self):
+        with pytest.raises(ValueError, match="beta"):
+            fit_exponent([(10, 0.5), (20, math.nan), (30, 0.1)])
+
+    def test_needs_two_distinct_blocklengths(self):
+        # a slope through points at one n is not defined
+        with pytest.raises(ValueError, match="distinct"):
+            fit_exponent([(10, 0.5), (10, 0.25), (10, 0.1)])
+
     def test_zero_beta_degenerates_with_lower_bound(self):
         pts = [(10, math.exp(-1)), (20, math.exp(-2)), (30, 0.0)]
         with pytest.raises(DegenerateFit) as err:
@@ -885,6 +894,30 @@ class TestSimConfig:
     def test_trials_positive(self):
         with pytest.raises(ValueError, match="trials"):
             SimConfig(n_ladder=(10,), trials=0, master_seed=0, mu=0.2)
+
+    def test_trials_must_be_integer(self):
+        with pytest.raises(OutOfRange, match="trials"):
+            SimConfig(n_ladder=(10,), trials=2.5, master_seed=0, mu=0.2)
+
+    def test_master_seed_must_be_integer(self):
+        with pytest.raises(OutOfRange, match="master_seed"):
+            SimConfig(n_ladder=(10,), trials=5, master_seed=1.5, mu=0.2)
+
+    def test_workers_must_be_integer(self):
+        with pytest.raises(OutOfRange, match="workers"):
+            SimConfig(n_ladder=(10,), trials=5, master_seed=0, mu=0.2, workers=1.5)
+
+    def test_ladder_entries_must_be_integers(self):
+        # a float blocklength is refused, not truncated
+        with pytest.raises(OutOfRange, match="n_ladder"):
+            SimConfig(n_ladder=(10.7, 20), trials=5, master_seed=0, mu=0.2)
+
+    def test_numpy_integers_accepted(self):
+        config = SimConfig(n_ladder=np.array([8, 12]), trials=np.int64(5),
+                           master_seed=np.uint32(3), mu=0.2, workers=np.int8(2))
+        values = (*config.n_ladder, config.trials, config.master_seed, config.workers)
+        assert values == (8, 12, 5, 3, 2)
+        assert all(type(v) is int for v in values)
 
     def test_estimator_names(self):
         with pytest.raises(ValueError, match="estimator"):
@@ -993,6 +1026,14 @@ class TestRunLadder:
         assert all(pt.beta_hat == 0.0 for pt in report.points)
         lines = report.to_csv().splitlines()
         assert lines[1].split(",")[8] == "nan"
+
+    def test_marker_class_on_gg_channel_refused(self):
+        # the channel reaches the builder as given, which names what is wrong
+        problem, _, cm, _ = sparse_fixture()
+        config = SimConfig(n_ladder=(8, 12, 16), trials=1, master_seed=0, mu=0.2,
+                           cost_model=cm, estimator="exact")
+        with pytest.raises(TypeError, match="discrete channel kernel"):
+            run_ladder(problem, GgMac(2.0, 1.0, 1.0, 1.0), ChannelClass.SPARSE, config)
 
     def test_short_ladder_skips_fit(self):
         problem, ch, cm, _ = sparse_fixture()
