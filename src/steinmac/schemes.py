@@ -284,9 +284,11 @@ def pinned_axes(cls: ChannelClass) -> tuple:
 def class_projection(cls: ChannelClass, p, q) -> IProjectionResult:
     """I-projection of q onto the joints that share p's marginals on the
     class's pinned axes. Its value is the type-2 exponent the class's
-    scheme achieves, and its minimizer is the source joint that dominates
-    the type-2 error. The full class pins only V, so one sweep solves it
-    exactly: R = Q P_V / Q_V, whose value is D(P_V || Q_V)."""
+    scheme achieves, and its minimizer is the source joint at the centre of
+    the typicality box. At a fixed window mu that binds, the type-2 error
+    is dominated instead by the minimizer of E_mu, at the box's edge. The
+    full class pins only V, so one sweep solves it exactly:
+    R = Q P_V / Q_V, whose value is D(P_V || Q_V)."""
     pj = p if isinstance(p, Joint3Pmf) else Joint3Pmf(p)
     cons = {axis: marginal(pj, axis) for axis in pinned_axes(cls)}
     return min_kl_fixed_marginals(_joint_array(q), cons)

@@ -2,8 +2,13 @@ import csv
 import io
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +99,50 @@ def sparse_fixture(n=8):
     cm = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
     scheme = build_scheme_for_class(ChannelClass.SPARSE, ch, P_JOINT, cm, n, 0.2)
     return problem, ch, cm, scheme
+
+
+@pytest.fixture
+def fresh_pools():
+    """No block pool cached before or after the test: a stub executor a
+    test installs does not outlive it."""
+    simulate._pool.cache_clear()
+    yield
+    simulate._pool.cache_clear()
+
+
+# a pooled call, a fork, and the same pooled call in the child, which must
+# return the parent's estimate before a deadline; the usable cores are
+# faked so that two workers build a pool on a one-core host too
+FORK_AFTER_POOL = """
+import os, sys, time
+import numpy as np
+from steinmac import simulate
+from steinmac.channels import BudgetLaw, ChannelClass, CostModel, Dmmac
+from steinmac.schemes import build_scheme_for_class
+from steinmac.simulate import TestProblem, run_trials
+
+os.sched_getaffinity = lambda pid: {0, 1}
+p = np.array(%r)
+ch = Dmmac(np.array(%r))
+cm = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
+scheme = build_scheme_for_class(ChannelClass.SPARSE, ch, p, cm, 8, 0.2)
+problem = TestProblem(p, np.array(%r))
+want = run_trials(problem, ch, scheme, 8, 3 * 2048, seed=5, workers=2)
+assert simulate._pool.cache_info().currsize == 1
+pid = os.fork()
+if pid == 0:
+    got = run_trials(problem, ch, scheme, 8, 3 * 2048, seed=5, workers=2)
+    os._exit(0 if got == want else 3)
+deadline = time.monotonic() + 60
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.05)
+os.kill(pid, 9)
+os.waitpid(pid, 0)
+sys.exit("the forked child's pooled run_trials did not return")
+""" % (P_JOINT.tolist(), sparse_channel().kernel.tolist(), Q_JOINT.tolist())
 
 
 def fading_channel(s1_states, s2_states):
@@ -484,7 +533,7 @@ class TestDirectMonteCarlo:
         b = run_trials(problem, ch, scheme, 8, 3000, seed=5, workers=4)
         assert a == b
 
-    def test_pool_is_capped_at_usable_cores(self, monkeypatch):
+    def test_pool_is_capped_at_usable_cores(self, monkeypatch, fresh_pools):
         pools = []
 
         class SerialPool:
@@ -492,12 +541,6 @@ class TestDirectMonteCarlo:
 
             def __init__(self, max_workers):
                 pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
 
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
@@ -511,6 +554,64 @@ class TestDirectMonteCarlo:
             pooled = run_trials(problem, ch, scheme, 8, 5 * 2048, seed=5, workers=64)
             assert pools == want
             assert pooled == serial
+
+    def test_pool_is_built_once_per_process(self, monkeypatch, fresh_pools):
+        built = []
+
+        class CountedPool(simulate.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", CountedPool)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1})
+        problem, ch, _, scheme = sparse_fixture()
+        a = run_trials(problem, ch, scheme, 8, 3 * 2048, seed=5, workers=2)
+        b = run_trials(problem, ch, scheme, 8, 3 * 2048, seed=5, workers=2)
+        assert built == [2]
+        assert a == b == run_trials(problem, ch, scheme, 8, 3 * 2048, seed=5)
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch, fresh_pools):
+        # more callers than cores map on one pool, with frequent thread
+        # switches; each caller gets its own blocks back, in block order
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1})
+        problem, ch, _, scheme = sparse_fixture()
+        want = [run_trials(problem, ch, scheme, 8, 3 * 2048, seed=s) for s in range(4)]
+        got = [None] * 4
+
+        def call(s):
+            got[s] = run_trials(problem, ch, scheme, 8, 3 * 2048, seed=s, workers=2)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(s,)) for s in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in callers)
+        assert got == want
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_builds_its_own_pool(self):
+        # the child inherits the parent's executor without its threads; a
+        # map on it would never return, so the child is killed at a deadline
+        src_dir = str(Path(simulate.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore::DeprecationWarning", "-c", FORK_AFTER_POOL],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_trials_must_be_integer(self):
+        problem, ch, _, scheme = sparse_fixture()
+        with pytest.raises(OutOfRange, match="trials"):
+            run_trials(problem, ch, scheme, 8, 2.5, seed=0)
 
     def test_marker_coupling_sums_to_one_when_equal(self):
         problem, ch, _, scheme = sparse_fixture(n=12)
@@ -785,6 +886,11 @@ class TestImportanceSampling:
         with pytest.raises(ValueError, match="seed"):
             importance_sample_beta(problem, ch, scheme, 8, 100)
 
+    def test_trials_must_be_integer(self):
+        problem, ch, _, scheme = sparse_fixture()
+        with pytest.raises(OutOfRange, match="trials"):
+            importance_sample_beta(problem, ch, scheme, 8, 2.5, seed=0)
+
     def test_worker_count_does_not_change_estimate(self):
         problem, ch, _, scheme = sparse_fixture()
         a = importance_sample_beta(problem, ch, scheme, 8, 3000, seed=9, workers=1)
@@ -863,6 +969,11 @@ class TestFitExponent:
     def test_rejects_nan_beta(self):
         with pytest.raises(ValueError, match="beta"):
             fit_exponent([(10, 0.5), (20, math.nan), (30, 0.1)])
+
+    def test_blocklength_must_be_integer(self):
+        # a float blocklength is refused, not truncated to the n below it
+        with pytest.raises(OutOfRange, match="n must be an integer"):
+            fit_exponent([(10.7, 0.5), (20, 0.2), (30, 0.1)])
 
     def test_needs_two_distinct_blocklengths(self):
         # a slope through points at one n is not defined
