@@ -32,7 +32,7 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
-from .prob import require_length
+from .prob import _as_index, _as_symbols, require_length
 
 _ROW_TOL = 1e-12
 _FILE_ROW_TOL = 1e-9
@@ -248,7 +248,7 @@ class CostModel:
                 raise ValueError(f"{name} must be a nonempty 1-d array")
             if c[0] != 0:
                 raise ValueError(f"{name}[0] must be 0 (the free symbol)")
-            if np.any(c[1:] <= 0):
+            if not np.all(c[1:] > 0):  # NaN fails too
                 raise ValueError(f"{name} must be positive for symbols >= 1")
             c = c.copy()
             c.flags.writeable = False
@@ -317,9 +317,9 @@ def admissible(x_seq, sensor: int, cm: CostModel, n: int) -> bool:
     """Whether a length-n input sequence fits the sensor's cost budget."""
     if sensor not in (1, 2):
         raise ValueError("sensor must be 1 or 2")
-    arr = require_length(x_seq, n, f"sensor-{sensor} input")
+    what = f"sensor-{sensor} input"
+    arr = _as_symbols(require_length(x_seq, n, what), what)
     costs = cm.costs(sensor)
-    arr = np.asarray(arr, dtype=np.int64)
     if arr.min() < 0 or arr.max() >= costs.size:
         raise OutOfAlphabet(
             f"input symbol outside alphabet of size {costs.size}"
@@ -410,7 +410,7 @@ def gg_ratio_bound(mac: GgMac, cm: CostModel, n: int, delta: float) -> GgRatioBo
     channel is the p-th moment itself. The bound is o(n) because the
     budgets are sublinear, which is what drives the exponent result.
     """
-    if delta <= 0:
+    if not delta > 0:  # NaN fails too
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -433,7 +433,7 @@ def gg_dn_tail(
     Inputs are the all-zero (cost-free, always admissible) sequences, so
     Y = Z. For p <= 1 the set is all of R^n and the tail is exactly 0.
     """
-    if trials < 1:
+    if _as_index("trials", trials) < 1:
         raise ValueError("trials must be >= 1")
     bound = gg_ratio_bound(mac, cm, n, delta)
     if math.isinf(bound.nu):

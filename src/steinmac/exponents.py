@@ -126,7 +126,7 @@ def min_kl_fixed_marginals(
     """
     qa = _unwrap_joint(q)
     cons = _normalize_constraints(qa, constraints)
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")

@@ -13,11 +13,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AbsoluteContinuityViolation, LengthMismatch, OutOfAlphabet
+from .errors import AbsoluteContinuityViolation, LengthMismatch, OutOfAlphabet, OutOfRange
 
 U1, U2, V = 0, 1, 2
 
@@ -160,10 +161,7 @@ def empirical_type(seq, alphabet_size: int) -> SequenceType:
         raise ValueError("sequence must be one-dimensional")
     if arr.size == 0:
         raise ValueError("sequence must have length >= 1")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if np.any(arr != np.floor(arr)):
-            raise OutOfAlphabet("sequence symbols must be integers")
-        arr = arr.astype(np.int64)
+    arr = _as_symbols(arr)
     if alphabet_size < 1:
         raise ValueError("alphabet_size must be >= 1")
     if arr.min() < 0 or arr.max() >= alphabet_size:
@@ -254,3 +252,21 @@ def require_length(seq, n: int, what: str = "sequence") -> np.ndarray:
     if arr.ndim != 1 or arr.size != n:
         raise LengthMismatch(f"{what} must have length {n}, got shape {arr.shape}")
     return arr
+
+
+def _as_symbols(arr: np.ndarray, what: str = "sequence") -> np.ndarray:
+    """Symbol indices as integers: whole floats are cast, any other value
+    (0.9, NaN, inf) is refused rather than truncated."""
+    if not np.issubdtype(arr.dtype, np.integer):
+        if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+            raise OutOfAlphabet(f"{what} symbols must be integers")
+        arr = arr.astype(np.int64)
+    return arr
+
+
+def _as_index(field: str, value) -> int:
+    """An integer parameter as an int; a float, even 10.0, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OutOfRange(field, f"must be an integer, got {value!r}") from None

@@ -17,10 +17,13 @@ Three estimators with one reproducibility contract:
   edge, at the minimizer of E_mu (the least D(R||Q) over joints R whose
   read marginals lie within mu of P's), which this tilt rarely draws.
 
-All three decide typicality from the same per-symbol count intervals
-(prob.typical_bounds), computed once per call for every symbol the rule
-reads, as Scheme.encode and Scheme.decide do for one sequence, and accept
-through Scheme.accept_weights, direct Monte-Carlo with the markers it drew.
+All three read one plan per call (_read_plan): the incidence matrix from
+joint cells to the symbols the rule reads, which sums sampled counts and
+gives each DP move, and those symbols' count intervals (prob.typical_bounds,
+as Scheme.decide uses). A cell showing a symbol whose interval is [0, 0] is
+rejected outright: the DP drops it, and only there may an importance tilt
+be zero on Q's support. All accept through Scheme.accept_weights, direct
+Monte-Carlo with the markers it drew.
 
 All randomness is derived from (seed, block index), never from thread
 scheduling, and block results are reduced in block order, so reports are
@@ -32,7 +35,6 @@ from __future__ import annotations
 import functools
 import io
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -48,7 +50,7 @@ from .errors import (
     ZeroTiltOnSupport,
 )
 from .exponents import min_kl_fixed_marginals
-from .prob import Joint3Pmf, _charged_cells, typical_bounds
+from .prob import Joint3Pmf, _as_index, _charged_cells, typical_bounds
 from .prob import quantile_map  # noqa: F401  (bench traces it by name)
 from .schemes import class_exponent  # noqa: F401  (bench traces it by name)
 from .schemes import Scheme, build_scheme_for_class, class_projection, pinned_axes
@@ -111,14 +113,6 @@ class SimConfig:
             raise OutOfRange("mu", "must lie in (0, 1)")
         if self.workers < 1:
             raise OutOfRange("workers", "must be >= 1")
-
-
-def _as_index(field: str, value) -> int:
-    """An integer config value as an int; a float, even 10.0, is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise OutOfRange(field, f"must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -214,34 +208,38 @@ def _map_blocks(trials: int, seed, workers: int, block_fn) -> list:
     return [block_fn(s, c) for s, c in zip(seeds, counts)]
 
 
-def _read_bounds(scheme: Scheme) -> tuple:
-    """(lo, hi, rows): every read symbol's typical count interval, stacked
-    axis by axis as columns (read symbols, 1), and each read axis's slice
-    of those rows."""
+def _read_plan(dims, scheme: Scheme) -> tuple:
+    """(incidence, bounds): what the rule reads of a joint over `dims`, the
+    one plan of every estimator. incidence is the 0/1 matrix (read symbols,
+    cells) from the joint cells to the symbols of every axis the rule
+    reads, or None in place of the identity: when the rule reads one axis
+    and the joint has no other, the cell counts are that axis's counts.
+    bounds is (lo, hi, rows): every read symbol's typical count interval,
+    stacked axis by axis as columns (read symbols, 1), and each read axis's
+    slice of those rows."""
+    axes = pinned_axes(scheme.cls)
     lo, hi, rows, start = [], [], {}, 0
-    for a in pinned_axes(scheme.cls):
+    for a in axes:
         a_lo, a_hi = typical_bounds(scheme.ref(a), scheme.mu, scheme.n)
         lo.append(a_lo)
         hi.append(a_hi)
         rows[a] = slice(start, start + a_lo.size)
         start += a_lo.size
-    return np.concatenate(lo)[:, None], np.concatenate(hi)[:, None], rows
-
-
-def _read_plan(dims, scheme: Scheme) -> tuple:
-    """(incidence, bounds), built once per sampling estimator call.
-    incidence is the 0/1 matrix (read symbols, cells) from the joint cells
-    of `dims` to the symbols of every axis the rule reads, or None in place
-    of the identity: when the rule reads one axis and the joint has no
-    other, the cell counts are that axis's counts. bounds is
-    _read_bounds's."""
-    axes = pinned_axes(scheme.cls)
-    bounds = _read_bounds(scheme)
+    bounds = np.concatenate(lo)[:, None], np.concatenate(hi)[:, None], rows
     cells = math.prod(dims)
     if len(axes) == 1 and cells == dims[axes[0]]:
         return None, bounds
     symbol = np.unravel_index(np.arange(cells), dims)
     return np.concatenate([np.eye(dims[a])[:, symbol[a]] for a in axes]), bounds
+
+
+def _rejected_cells(plan: tuple) -> np.ndarray:
+    """Per cell, whether every sequence that shows it is rejected: the cell
+    shows a read symbol whose interval holds no count above 0, [0, 0] (as
+    a symbol of reference probability zero gets) or an empty one."""
+    incidence, (_, hi, _) = plan
+    dead = hi[:, 0] <= 0
+    return dead if incidence is None else dead @ incidence > 0
 
 
 def _typicality_flags(sums: np.ndarray, bounds: tuple) -> dict:
@@ -357,15 +355,16 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
 
     The rule reads only the symbol counts of each read axis, so this is a
     dynamic program over the lattice of those counts: one dimension per
-    symbol of each read axis except its likeliest reference symbol, whose
-    count follows from n, and except a symbol whose typical count is at
-    most 0: a cell that shows such a symbol is rejected for good. Counts
-    only grow, so a count above its symbol's interval is dropped for good
-    too.
+    read symbol of _read_plan except each axis's likeliest reference
+    symbol, whose count follows from n, and except a symbol whose typical
+    count is at most 0: a cell that shows such a symbol is rejected for
+    good (_rejected_cells). Counts only grow, so a count above its
+    symbol's interval is dropped for good too.
 
     The lattice is stored flat, dimensions by decreasing cap, each with
     one overflow slot past its cap, so a cell's move is one fixed offset,
-    the sum of the strides of the dimensions it raises. Each of the n steps
+    the sum of the strides of the dimensions it raises: the read symbols'
+    strides times the cell's incidence column. Each of the n steps
     adds, for every cell of the support, the cell's probability times the
     lattice shifted by that offset, over the prefix the step can reach,
     then zeroes the overflow slots. Each step rescales the lattice by a
@@ -374,24 +373,19 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     """
     axes = pinned_axes(scheme.cls)
     drop = tuple(a for a in range(3) if a not in axes)
-    reduced = joint.probs.sum(axis=drop) if drop else joint.probs
+    reduced = joint.probs.sum(axis=drop, keepdims=True) if drop else joint.probs
     n = scheme.n
-    bounds = _read_bounds(scheme)
-    _, hi, rows = bounds
+    incidence, bounds = plan = _read_plan(reduced.shape, scheme)
+    caps, rows = bounds[1][:, 0].tolist(), bounds[2]
 
-    free, dim_of, caps = [], [], []  # per read axis; caps per counted symbol
-    for axis in axes:
-        ref = scheme.ref(axis).probs
-        free.append(int(np.argmax(ref)))
-        dim_of.append({})
-        for s, cap in enumerate(hi[rows[axis], 0].tolist()):
-            if s != free[-1]:
-                dim_of[-1][s] = len(caps)
-                caps.append(cap)
-    order = sorted((d for d, c in enumerate(caps) if c > 0), key=lambda d: -caps[d])
+    # each axis's likeliest reference symbol: its count follows from n
+    free = [r.start + int(np.argmax(scheme.ref(a).probs)) for a, r in rows.items()]
+    order = sorted((d for d, c in enumerate(caps) if c > 0 and d not in free),
+                   key=lambda d: -caps[d])
     shape = [caps[d] + 2 for d in order]  # counts 0..cap, then overflow
     strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
-    stride_of = dict(zip(order, strides))
+    stride_of = np.zeros(len(caps))
+    stride_of[order] = strides
     size = math.prod(shape)
     pad = sum(strides)  # the largest move, so every shifted slice fits
     states = size + pad
@@ -405,11 +399,11 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
             f"{_MAX_STEP_STATES} step-state cap"
         )
 
-    moves = []  # (cell probability, flat offset of the cell's move)
-    for cell in zip(*np.nonzero(reduced)):
-        raised = [d[s] for d, s in zip(dim_of, cell) if s in d]
-        if all(d in stride_of for d in raised):
-            moves.append((float(reduced[cell]), sum(stride_of[d] for d in raised)))
+    probs = reduced.ravel()
+    live = (probs > 0) & ~_rejected_cells(plan)
+    # (cell probability, flat offset of the cell's move), in cell order
+    offsets = stride_of if incidence is None else stride_of @ incidence
+    moves = list(zip(probs[live].tolist(), offsets[live].astype(int).tolist()))
     box = tuple(slice(0, -1) for _ in shape)  # the states with no overflow
     keep = np.zeros(states, dtype=bool)
     keep[:size].reshape(shape)[box] = True
@@ -439,12 +433,11 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
         lat, nxt = nxt, lat
 
     lat = lat[:size].reshape(shape)[box]
-    grid = dict(zip(order, np.ix_(*(np.arange(c) for c in lat.shape))))
-    sums = []  # every read symbol's count at every in-box state
-    for f, dims in zip(free, dim_of):
-        cols = [grid.get(dims.get(s), 0) for s in range(len(dims) + 1)]
-        cols[f] = n - sum(cols)
-        sums += cols
+    sums = [0] * len(caps)  # every read symbol's count at every in-box state
+    for d, coord in zip(order, np.ix_(*(np.arange(c) for c in lat.shape))):
+        sums[d] = coord
+    for f, r in zip(free, rows.values()):
+        sums[f] = n - sum(sums[r])  # sums[f] is still 0
     sums = np.stack(np.broadcast_arrays(*sums)).reshape(len(sums), -1)
     flags = {a: flag.reshape(lat.shape) for a, flag in _typicality_flags(sums, bounds).items()}
     total = float(np.sum(lat * scheme.accept_weights(flags)))
@@ -486,20 +479,22 @@ def _as_tilt(argmin: np.ndarray) -> Joint3Pmf:
 
 
 def _check_tilt(problem: TestProblem, scheme: Scheme, tilt: Joint3Pmf) -> None:
-    """A tilt may place zero mass on a Q-supported cell only if any sequence
-    containing that cell is rejected outright (a pinned marginal gives the
-    cell's symbol probability zero, so typicality fails)."""
+    """A tilt may place zero mass on a Q-supported cell only if every
+    sequence that shows the cell is rejected outright: the cells the exact
+    DP drops, which show a read symbol whose typical interval is [0, 0]."""
     qa = problem.q.probs
     ta = tilt.probs
     if ta.shape != qa.shape:
         raise ValueError(f"tilt dims {ta.shape} do not match problem dims {qa.shape}")
-    for cell in zip(*np.nonzero((ta == 0) & (qa > 0))):
-        cell = tuple(int(i) for i in cell)
-        if not any(scheme.ref(a).probs[cell[a]] == 0 for a in pinned_axes(scheme.cls)):
-            raise ZeroTiltOnSupport(
-                f"tilt is zero at cell {cell} where Q is positive and "
-                "acceptance is possible"
-            )
+    live = (ta == 0) & (qa > 0)
+    if live.any():  # the plan is built only for a tilt that may fail
+        live &= ~_rejected_cells(_read_plan(qa.shape, scheme)).reshape(qa.shape)
+    if live.any():
+        cell = tuple(int(i) for i in np.argwhere(live)[0])
+        raise ZeroTiltOnSupport(
+            f"tilt is zero at cell {cell} where Q is positive and "
+            "acceptance is possible"
+        )
 
 
 def _is_block(scheme, plan, tilt_flat, log_ratio, outside, seed_seq, count):

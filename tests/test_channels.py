@@ -36,6 +36,8 @@ from steinmac.errors import (
     LengthMismatch,
     MarkerMismatch,
     NoMarkers,
+    OutOfAlphabet,
+    OutOfRange,
     ParseError,
 )
 
@@ -353,6 +355,20 @@ class TestBudget:
         with pytest.raises(ValueError):
             CostModel([0.0, 0.0], [0.0, 1.0], law, law)
 
+    def test_nan_cost_refused(self):
+        # cost_budget would divide the budget by a NaN least cost
+        law = BudgetLaw.power(1.0, 0.5)
+        with pytest.raises(ValueError, match="must be positive"):
+            CostModel([0.0, math.nan], [0.0, 1.0], law, law)
+
+    def test_admissible_refuses_fractional_symbols(self):
+        # truncated to 0, 0.9 would cost nothing; rounded up, 100 of them
+        # cost 100 against a budget of 10
+        cm = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
+        with pytest.raises(OutOfAlphabet, match="integers"):
+            admissible(np.full(100, 0.9), 1, cm, 100)
+        assert admissible(np.zeros(100), 1, cm, 100)
+
     def test_admissible(self):
         cm = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
         n = 100  # budget 10, unit costs
@@ -497,6 +513,12 @@ class TestGgRatioBound:
                 worst = min(worst, float(lr.min()))
         assert worst >= res.log_ratio_lower_bound
 
+    def test_nan_delta_refused(self):
+        mac = GgMac(2.0, 1.0, 1.0, 1.0)
+        cm = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
+        with pytest.raises(ValueError, match="delta must be positive"):
+            gg_ratio_bound(mac, cm, 100, math.nan)
+
     def test_helper_power_inequality(self):
         rng = np.random.default_rng(77)
         a = rng.normal(size=100_000) * 3
@@ -530,6 +552,19 @@ class TestGgTail:
         assert 1e-3 < exact < 0.5
         tail = gg_dn_tail(mac, cm, n, 0.05, trials, np.random.default_rng(3))
         assert abs(tail - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+    def test_nan_delta_refused(self):
+        # a NaN nu would compare false against every draw: a tail of 0.0
+        mac = GgMac(2.0, 1.0, 1.0, 1.0)
+        cm = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
+        with pytest.raises(ValueError, match="delta must be positive"):
+            gg_dn_tail(mac, cm, 100, math.nan, 1000, np.random.default_rng(0))
+
+    def test_trials_must_be_integer(self):
+        mac = GgMac(2.0, 1.0, 1.0, 1.0)
+        cm = CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5))
+        with pytest.raises(OutOfRange, match="trials"):
+            gg_dn_tail(mac, cm, 100, 0.5, 1000.0, np.random.default_rng(0))
 
     def test_in_unit_interval(self):
         mac = GgMac(3.0, 1.0, 1.0, 1.0)

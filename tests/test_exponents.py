@@ -149,6 +149,14 @@ class TestIProjection:
         assert err.value.residual > 0
         assert err.value.iterations == 1
 
+    def test_nan_tol_refused(self):
+        # no gap is ever above a NaN tol nor within it, so the sweeps would
+        # run to max_iters and end in NonConvergence with residual 0
+        q = np.full((2, 2, 2), 0.125)
+        cons = {0: Pmf([0.3, 0.7]), 1: Pmf([0.6, 0.4])}
+        with pytest.raises(ValueError, match="tol must be positive"):
+            min_kl_fixed_marginals(q, cons, tol=math.nan, max_iters=100)
+
     def test_lyapunov_monotone_per_sweep(self):
         # D(limit || iterate) is the quantity cyclic scaling shrinks
         rng = np.random.default_rng(55)

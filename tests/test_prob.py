@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,14 @@ class TestTypes:
             empirical_type([0, 3], 3)
         with pytest.raises(OutOfAlphabet):
             empirical_type([-1, 0], 2)
+
+    def test_non_integer_symbols_refused(self):
+        # inf equals its floor, so it must be refused before the cast to
+        # int64, which would name symbol -2**63
+        for bad in (0.5, math.nan, math.inf):
+            with pytest.raises(OutOfAlphabet, match="integers"):
+                empirical_type(np.array([0.0, bad]), 2)
+        assert list(empirical_type(np.array([0.0, 1.0]), 2).counts) == [1, 1]
 
     def test_sequence_type_validation(self):
         with pytest.raises(ValueError):

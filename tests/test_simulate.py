@@ -813,6 +813,24 @@ class TestDirectAgainstExactProperty:
             assert abs(hat - truth) <= 4 * math.sqrt(truth * (1 - truth) / trials)
 
 
+class TestImportanceAgainstExactProperty:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(
+        cells=st.lists(st.floats(0.05, 1.0), min_size=16, max_size=16),
+        cls=st.sampled_from(list(CLASS_CHANNELS)),
+        n=st.integers(6, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_importance_within_four_se_of_exact(self, cells, cls, n, seed):
+        p = np.array(cells[:8]).reshape(2, 2, 2)
+        q = np.array(cells[8:]).reshape(2, 2, 2)
+        problem, ch, scheme = class_fixture(cls, p / p.sum(), q / q.sum(), n, 0.2)
+        _, beta = exact_error_probs(problem, ch, scheme, n)
+        tilt = simulate._as_tilt(schemes.class_projection(cls, problem.p, problem.q).argmin)
+        est = importance_sample_beta(problem, ch, scheme, n, 4000, tilt=tilt, seed=seed)
+        assert abs(est[0] - beta) <= 4 * est.std_err
+
+
 class TestImportanceSampling:
     def test_unbiased_against_exact(self):
         problem, ch, _, scheme = sparse_fixture()
@@ -855,6 +873,18 @@ class TestImportanceSampling:
         )
         assert beta_hat == pytest.approx(0.45**100, rel=1e-12)
         assert var == pytest.approx(0.0, abs=1e-250)
+
+    def test_zero_tilt_allowed_where_an_interval_is_zero(self):
+        # V's symbol 0 has reference probability 0.02, so at mu = 0.05 and
+        # n = 10 its typical interval is [0, 0]: every sequence that shows
+        # it is rejected, and the exact DP drops that cell as well
+        problem, scheme = local_fixture([0.02, 0.98], [0.3, 0.7], 0.05, 10)
+        tilt = Joint3Pmf(np.array([0.0, 1.0]).reshape(1, 1, 2))
+        est = importance_sample_beta(problem, None, scheme, 10, 200, tilt=tilt, seed=3)
+        _, beta = exact_error_probs(problem, None, scheme, 10)
+        assert beta == pytest.approx(0.7**10, rel=1e-12)
+        assert est[0] == pytest.approx(beta, rel=1e-12)
+        assert est.std_err == 0.0
 
     def test_tilt_outside_alternative_support(self):
         # the tilt charges symbol 2, which Q never produces: a trial that
