@@ -32,7 +32,7 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
-from .prob import _as_index, _as_symbols, require_length
+from .prob import _as_count, _as_symbols, require_length
 
 _ROW_TOL = 1e-12
 _FILE_ROW_TOL = 1e-9
@@ -213,8 +213,7 @@ class BudgetLaw:
             raise OutOfRange("b", "must satisfy 0 < b < 1 for a power law")
 
     def gamma(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = _as_count("n", n)
         if self.kind == "power":
             return self.a * float(n) ** self.b
         return self.a * math.log1p(n)
@@ -297,8 +296,7 @@ def cost_budget(cm: CostModel, n: int) -> CostBudget:
     the scheme spends two blocks of k symbols, so k is half the smaller
     k_max, and there must be room for both blocks inside n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _as_count("n", n)
     k_maxes = []
     for sensor in (1, 2):
         cmin = cm.c_min(sensor)
@@ -374,8 +372,7 @@ def gg_sample(p: float, sigma: float, n: int, rng_state) -> np.ndarray:
     |Z|^p / (2 sigma^p) is Gamma(1/p, 1) distributed, so a gamma draw
     powered back and given a uniform sign has exactly the target density.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _as_count("n", n)
     if not (p > 0 and sigma > 0):
         raise ValueError("p and sigma must be positive")
     rng = np.random.default_rng(rng_state)
@@ -412,8 +409,7 @@ def gg_ratio_bound(mac: GgMac, cm: CostModel, n: int, delta: float) -> GgRatioBo
     """
     if not delta > 0:  # NaN fails too
         raise ValueError("delta must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _as_count("n", n)
     p, sigma = mac.p, mac.sigma
     s = abs(mac.h1) ** p * cm.gamma(1, n) + abs(mac.h2) ** p * cm.gamma(2, n)
     if p <= 1:
@@ -433,8 +429,7 @@ def gg_dn_tail(
     Inputs are the all-zero (cost-free, always admissible) sequences, so
     Y = Z. For p <= 1 the set is all of R^n and the tail is exactly 0.
     """
-    if _as_index("trials", trials) < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _as_count("trials", trials)
     bound = gg_ratio_bound(mac, cm, n, delta)
     if math.isinf(bound.nu):
         return 0.0

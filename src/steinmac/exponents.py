@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionTooLarge, NoFeasiblePoint, NonConvergence
-from .prob import Joint3Pmf, Pmf, kl_divergence
+from .prob import Joint3Pmf, Pmf, _as_count, kl_divergence
 
 _MAX_BRUTE_CELLS = 8
 _FACE_SWEEPS = 100  # IPF sweeps before the first search for a boundary face
@@ -128,8 +128,7 @@ def min_kl_fixed_marginals(
     cons = _normalize_constraints(qa, constraints)
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    max_iters = _as_count("max_iters", max_iters)
 
     if not cons:
         return IProjectionResult(0.0, qa.copy(), 0, 0.0, int(np.count_nonzero(qa)))
@@ -347,8 +346,7 @@ def brute_force_min_kl(q, constraints, grid_step: float, refine: int = 0) -> flo
         )
     if not (0 < grid_step < 1):
         raise ValueError("grid_step must lie in (0, 1)")
-    if refine < 0:
-        raise ValueError("refine must be >= 0")
+    refine = _as_count("refine", refine, least=0)
     cons = _normalize_constraints(qa, constraints)
     qflat = qa.ravel()
     a, b = _constraint_rows(qa.shape, cons, qflat)

@@ -96,13 +96,13 @@ class SequenceType:
             raise ValueError("counts must be a nonempty 1-d integer array")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
-        if int(counts.sum()) != self.n:
-            raise ValueError(f"counts sum to {int(counts.sum())}, expected n={self.n}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        n = _as_count("n", self.n)
+        if int(counts.sum()) != n:
+            raise ValueError(f"counts sum to {int(counts.sum())}, expected n={n}")
         counts = counts.copy()
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "n", n)
 
     def empirical(self) -> np.ndarray:
         """Empirical distribution counts/n (an array, not a Pmf, since it
@@ -162,8 +162,7 @@ def empirical_type(seq, alphabet_size: int) -> SequenceType:
     if arr.size == 0:
         raise ValueError("sequence must have length >= 1")
     arr = _as_symbols(arr)
-    if alphabet_size < 1:
-        raise ValueError("alphabet_size must be >= 1")
+    alphabet_size = _as_count("alphabet_size", alphabet_size)
     if arr.min() < 0 or arr.max() >= alphabet_size:
         raise OutOfAlphabet(
             f"symbol {int(arr.min() if arr.min() < 0 else arr.max())} outside "
@@ -194,8 +193,7 @@ def typical_bounds(p, mu: float, n: int) -> tuple:
     probs = _probs_of(p)
     if not mu >= 0:
         raise ValueError("mu must be >= 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _as_count("n", n)
     lo = np.zeros(probs.size, dtype=np.int64)
     hi = np.zeros(probs.size, dtype=np.int64)
     for s, ps in enumerate(probs.tolist()):
@@ -225,8 +223,7 @@ def sample_iid(dist, n: int, rng_state):
     gives identical output. Sampling is inverse-cdf on uniforms, so two
     distributions sampled against the same uniforms are coupled.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _as_count("n", n)
     rng = np.random.default_rng(rng_state)
     u = rng.random(n)
     if isinstance(dist, Pmf):
@@ -264,9 +261,14 @@ def _as_symbols(arr: np.ndarray, what: str = "sequence") -> np.ndarray:
     return arr
 
 
-def _as_index(field: str, value) -> int:
-    """An integer parameter as an int; a float, even 10.0, is refused."""
+def _as_count(field: str, value, least=1) -> int:
+    """A count parameter (a blocklength, a trial count, an alphabet size)
+    as an int of at least `least`. A fraction, even 10.0, is refused, and
+    so is a value below `least`; both raise OutOfRange naming the field."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise OutOfRange(field, f"must be an integer, got {value!r}") from None
+    if value < least:
+        raise OutOfRange(field, f"must be >= {least}")
+    return value

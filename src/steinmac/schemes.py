@@ -28,7 +28,7 @@ from .channels import (
 )
 from .errors import BlocklengthTooSmall, CostBudgetExceeded, MarkerMismatch
 from .exponents import IProjectionResult, min_kl_fixed_marginals
-from .prob import Joint3Pmf, Pmf, is_strongly_typical, marginal, require_length
+from .prob import Joint3Pmf, Pmf, _as_count, is_strongly_typical, marginal, require_length
 
 
 def _as_pmf(p, what: str) -> Pmf:
@@ -40,10 +40,8 @@ def _as_pmf(p, what: str) -> Pmf:
         raise ValueError(f"{what}: {exc}") from exc
 
 
-def _joint_array(p) -> np.ndarray:
-    if isinstance(p, Joint3Pmf):
-        return p.probs
-    return Joint3Pmf(p).probs
+def _as_joint(p) -> Joint3Pmf:
+    return p if isinstance(p, Joint3Pmf) else Joint3Pmf(p)
 
 
 @dataclass(frozen=True)
@@ -213,8 +211,10 @@ def build_scheme_for_class(
     class's scheme. Also checks that the worst-case encoder output actually
     fits the budget, since the marker symbols need not be the cheapest ones
     the budget arithmetic assumed."""
-    pa = _joint_array(p)
-    p_u1, p_u2, p_v = (marginal(pa, axis) for axis in (0, 1, 2))
+    pj = _as_joint(p)
+    # only the marginals the rule reads: a sensor that does not signal gets None
+    p_u1, p_u2, p_v = (marginal(pj, axis) if axis in pinned_axes(cls) else None
+                       for axis in (0, 1, 2))
     if cls is ChannelClass.FULL:
         return build_local_scheme(p_v, mu, n)
     if ch is None or cm is None:
@@ -241,8 +241,7 @@ def _check_budget(budget: CostBudget) -> None:
 
 
 def _check_n_mu(n: int, mu: float) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _as_count("n", n)
     if not (0 < mu < 1):
         raise ValueError("mu must lie in (0, 1)")
 
@@ -289,9 +288,9 @@ def class_projection(cls: ChannelClass, p, q) -> IProjectionResult:
     is dominated instead by the minimizer of E_mu, at the box's edge. The
     full class pins only V, so one sweep solves it exactly:
     R = Q P_V / Q_V, whose value is D(P_V || Q_V)."""
-    pj = p if isinstance(p, Joint3Pmf) else Joint3Pmf(p)
+    pj = _as_joint(p)
     cons = {axis: marginal(pj, axis) for axis in pinned_axes(cls)}
-    return min_kl_fixed_marginals(_joint_array(q), cons)
+    return min_kl_fixed_marginals(_as_joint(q).probs, cons)
 
 
 def class_exponent(cls: ChannelClass, p, q) -> float:
@@ -306,8 +305,7 @@ def class_exponent(cls: ChannelClass, p, q) -> float:
 def gamma_schedule(n: int) -> float:
     """Threshold sequence 1/ln(2+n): vanishes, but so slowly that the
     ln(1/gamma) penalty on the type-2 exponent is o(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _as_count("n", n)
     return 1.0 / math.log(2.0 + n)
 
 

@@ -50,7 +50,7 @@ from .errors import (
     ZeroTiltOnSupport,
 )
 from .exponents import min_kl_fixed_marginals
-from .prob import Joint3Pmf, _as_index, _charged_cells, typical_bounds
+from .prob import Joint3Pmf, _as_count, _charged_cells, typical_bounds
 from .prob import quantile_map  # noqa: F401  (bench traces it by name)
 from .schemes import class_exponent  # noqa: F401  (bench traces it by name)
 from .schemes import Scheme, build_scheme_for_class, class_projection, pinned_axes
@@ -95,24 +95,19 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        ladder = tuple(_as_index("n_ladder", n) for n in self.n_ladder)
+        # entries are bounded below by the list-level check that follows
+        ladder = tuple(_as_count("n_ladder", n, least=-math.inf) for n in self.n_ladder)
         if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise OutOfRange("n_ladder", "must be a nonempty strictly increasing list")
-        if any(n < 1 for n in ladder):
+        if ladder[0] < 1:
             raise OutOfRange("n_ladder", "must hold blocklengths >= 1")
         object.__setattr__(self, "n_ladder", ladder)
-        for name in ("trials", "master_seed", "workers"):
-            object.__setattr__(self, name, _as_index(name, getattr(self, name)))
-        if self.trials < 1:
-            raise OutOfRange("trials", "must be >= 1")
-        if self.master_seed < 0:
-            raise OutOfRange("master_seed", "must be >= 0")
+        for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1)):
+            object.__setattr__(self, name, _as_count(name, getattr(self, name), least))
         if self.estimator not in _ESTIMATORS:
             raise OutOfRange("estimator", f"must be one of {_ESTIMATORS}")
         if not (0 < self.mu < 1):
             raise OutOfRange("mu", "must lie in (0, 1)")
-        if self.workers < 1:
-            raise OutOfRange("workers", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -159,8 +154,7 @@ def _fmt(x: float) -> str:
 
 def wilson_interval(successes: int, trials: int) -> tuple:
     """95% Wilson score interval; behaves sensibly at 0 and n successes."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _as_count("trials", trials)
     if not (0 <= successes <= trials):
         raise ValueError("successes must lie in [0, trials]")
     z = _WILSON_Z
@@ -327,9 +321,7 @@ def run_trials(
     """
     if n != scheme.n:
         raise ValueError(f"scheme was built for n={scheme.n}, got n={n}")
-    trials = _as_index("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _as_count("trials", trials)
     bad = set(sides) - {"null", "alt"}
     if bad or not sides:
         raise ValueError(f"sides must be a nonempty subset of ('null','alt')")
@@ -478,17 +470,16 @@ def _as_tilt(argmin: np.ndarray) -> Joint3Pmf:
     return Joint3Pmf(argmin / argmin.sum())
 
 
-def _check_tilt(problem: TestProblem, scheme: Scheme, tilt: Joint3Pmf) -> None:
+def _check_tilt(problem: TestProblem, tilt: Joint3Pmf, plan: tuple) -> None:
     """A tilt may place zero mass on a Q-supported cell only if every
     sequence that shows the cell is rejected outright: the cells the exact
-    DP drops, which show a read symbol whose typical interval is [0, 0]."""
+    DP drops, which show a read symbol whose typical interval is [0, 0].
+    `plan` is the scheme's _read_plan over the problem's dims."""
     qa = problem.q.probs
     ta = tilt.probs
     if ta.shape != qa.shape:
         raise ValueError(f"tilt dims {ta.shape} do not match problem dims {qa.shape}")
-    live = (ta == 0) & (qa > 0)
-    if live.any():  # the plan is built only for a tilt that may fail
-        live &= ~_rejected_cells(_read_plan(qa.shape, scheme)).reshape(qa.shape)
+    live = (ta == 0) & (qa > 0) & ~_rejected_cells(plan).reshape(qa.shape)
     if live.any():
         cell = tuple(int(i) for i in np.argwhere(live)[0])
         raise ZeroTiltOnSupport(
@@ -539,16 +530,15 @@ def importance_sample_beta(
     """
     if n != scheme.n:
         raise ValueError(f"scheme was built for n={scheme.n}, got n={n}")
-    trials = _as_index("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _as_count("trials", trials)
     if seed is None:
         raise ValueError("seed is required for a reproducible estimate")
     if tilt is None:
         tilt = default_tilt(problem, scheme)
     elif not isinstance(tilt, Joint3Pmf):
         tilt = Joint3Pmf(tilt)
-    _check_tilt(problem, scheme, tilt)
+    plan = _read_plan(problem.q.dims, scheme)
+    _check_tilt(problem, tilt, plan)
 
     tilt_flat = tilt.probs.ravel()
     q_flat = problem.q.probs.ravel()
@@ -561,7 +551,6 @@ def importance_sample_beta(
     outside = np.flatnonzero(log_ratio == -np.inf)
     log_ratio[outside] = 0.0
 
-    plan = _read_plan(problem.q.dims, scheme)
     results = _map_blocks(trials, seed, workers, lambda seed_seq, count: _is_block(
         scheme, plan, tilt_flat, log_ratio, outside, seed_seq, count
     ))
@@ -597,7 +586,7 @@ class _BetaEstimate(tuple):
 def fit_exponent(points) -> float:
     """Least-squares slope of -ln(beta) against n; the intercept absorbs
     any constant factor, so synthetic c*exp(-t*n) recovers t exactly."""
-    pts = [(_as_index("n", n), float(b)) for n, b in points]
+    pts = [(_as_count("n", n), float(b)) for n, b in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 (n, beta) points")
     if not all(0 <= b <= 1 for _, b in pts):  # NaN fails too

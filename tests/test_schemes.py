@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from steinmac import schemes
 from steinmac.channels import (
     BudgetLaw,
     ChannelClass,
@@ -419,6 +420,24 @@ class TestBuildForClass:
         cm = CostModel([0.0, 1.0, 100.0], [0.0, 1.0], law, law)
         with pytest.raises(CostBudgetExceeded):
             build_scheme_for_class(ChannelClass.SPARSE, ch, self.p, cm, 100, 0.2)
+
+    def test_builds_only_the_marginals_the_class_reads(self, monkeypatch):
+        axes = []
+        take = schemes.marginal
+
+        def counted(joint, axis):
+            axes.append(axis)
+            return take(joint, axis)
+
+        monkeypatch.setattr(schemes, "marginal", counted)
+        full = build_scheme_for_class(ChannelClass.FULL, None, self.p, None, 50, 0.2)
+        assert axes == [2] and full.ref_u1 is None and full.ref_u2 is None
+        axes.clear()
+        sparse_full = build_scheme_for_class(
+            ChannelClass.SPARSE_FULL, _fading((1,), (-1, 1)), self.p, self.cm, 100, 0.2
+        )
+        assert axes == [0, 2] and sparse_full.ref_u2 is None
+        assert np.array_equal(sparse_full.ref_u1.probs, marginal(self.p, 0).probs)
 
     def test_sparse_end_to_end(self):
         s = build_scheme_for_class(

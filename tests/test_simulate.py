@@ -874,6 +874,22 @@ class TestImportanceSampling:
         assert beta_hat == pytest.approx(0.45**100, rel=1e-12)
         assert var == pytest.approx(0.0, abs=1e-250)
 
+    def test_one_read_plan_per_call(self, monkeypatch):
+        # the gg_local_ladder rung: the tilt (0, 1) is zero where Q_V(0) =
+        # 0.55, so the tilt check reads the plan the estimator then samples with
+        problem, scheme = local_fixture([0.0, 1.0], [0.55, 0.45], 0.05, 100)
+        tilt = Joint3Pmf(np.array([0.0, 1.0]).reshape(1, 1, 2))
+        plans = []
+        read_plan = simulate._read_plan
+
+        def counted(*args):
+            plans.append(args)
+            return read_plan(*args)
+
+        monkeypatch.setattr(simulate, "_read_plan", counted)
+        importance_sample_beta(problem, None, scheme, 100, 200, tilt=tilt, seed=3)
+        assert len(plans) == 1
+
     def test_zero_tilt_allowed_where_an_interval_is_zero(self):
         # V's symbol 0 has reference probability 0.02, so at mu = 0.05 and
         # n = 10 its typical interval is [0, 0]: every sequence that shows
