@@ -316,6 +316,7 @@ def admissible(x_seq, sensor: int, cm: CostModel, n: int) -> bool:
     if sensor not in (1, 2):
         raise ValueError("sensor must be 1 or 2")
     what = f"sensor-{sensor} input"
+    n = _as_count("n", n)
     arr = _as_symbols(require_length(x_seq, n, what), what)
     costs = cm.costs(sensor)
     if arr.min() < 0 or arr.max() >= costs.size:

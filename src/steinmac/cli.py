@@ -66,19 +66,30 @@ def load_problem(path) -> TestProblem:
     return TestProblem(Joint3Pmf(p.reshape(dims)), Joint3Pmf(q.reshape(dims)))
 
 
-# every config key, with the constructor parameter it is read into where a
-# range error should name the key
+def _integers(text: str) -> tuple:
+    return tuple(int(tok) for tok in text.split(","))
+
+
+_TEXT, _NUMBER, _INTEGER = (str, None), (float, "a number"), (int, "an integer")
+# every config key: its reader, what a value it cannot read should have
+# been, and the constructor parameter a range error names the key by
 _CONFIG_KEYS = {
-    "problem": None, "channel.kind": None, "channel.file": None, "cost.law": None,
-    "scheme": None, "estimator": "estimator", "out": None,
-    "gg.p": "p", "gg.sigma": "sigma", "gg.h1": "h1", "gg.h2": "h2",
-    "cost.a": "a", "cost.b": "b", "sim.trials": "trials", "sim.seed": "master_seed",
-    "sim.mu": "mu", "sim.ladder": "n_ladder",
+    "problem": (*_TEXT, None), "channel.kind": (*_TEXT, None),
+    "channel.file": (*_TEXT, None), "cost.law": (*_TEXT, "kind"),
+    "scheme": (*_TEXT, None), "estimator": (*_TEXT, "estimator"), "out": (*_TEXT, None),
+    "gg.p": (*_NUMBER, "p"), "gg.sigma": (*_NUMBER, "sigma"),
+    "gg.h1": (*_NUMBER, "h1"), "gg.h2": (*_NUMBER, "h2"),
+    "cost.a": (*_NUMBER, "a"), "cost.b": (*_NUMBER, "b"),
+    "sim.trials": (*_INTEGER, "trials"), "sim.seed": (*_INTEGER, "master_seed"),
+    "sim.mu": (*_NUMBER, "mu"),
+    "sim.ladder": (_integers, "comma-separated integers", "n_ladder"),
 }
-_KEY_OF = {field: key for key, field in _CONFIG_KEYS.items() if field}
+_KEY_OF = {field: key for key, (_, _, field) in _CONFIG_KEYS.items() if field}
 
 
 def load_config(path) -> dict:
+    """Parse a config file into {key: value}, each value read by its key's
+    reader; errors carry line numbers."""
     path = Path(path)
     cfg: dict = {}
     for lineno, raw in enumerate(_read_file(path, "config").splitlines(), start=1):
@@ -98,30 +109,20 @@ def load_config(path) -> dict:
             raise ParseError(f"duplicate key {key!r}", path=str(path), line=lineno)
         if not value:
             raise ParseError(f"empty value for {key!r}", path=str(path), line=lineno)
-        cfg[key] = value
+        read, expected, _ = _CONFIG_KEYS[key]
+        try:
+            cfg[key] = read(value)
+        except ValueError:
+            raise ParseError(
+                f"{key} must be {expected}, got {value!r}", path=str(path), line=lineno
+            ) from None
     return cfg
 
 
-def _require(cfg: dict, key: str, path: str) -> str:
+def _require(cfg: dict, key: str, path: str):
     if key not in cfg:
         raise ParseError(f"missing required key {key!r}", path=path)
     return cfg[key]
-
-
-def _as_float(cfg: dict, key: str, path: str) -> float:
-    value = _require(cfg, key, path)
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"{key} must be a number, got {value!r}", path=path)
-
-
-def _as_int(cfg: dict, key: str, path: str) -> int:
-    value = _require(cfg, key, path)
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"{key} must be an integer, got {value!r}", path=path)
 
 
 def _parse_gg_mac(text: str) -> GgMac:
@@ -227,7 +228,7 @@ def cmd_simulate(args) -> int:
         channel = load_dmmac(base / _require(cfg, "channel.file", spath))
     elif kind == "gg":
         channel = _checked(GgMac, spath, _KEY_OF, *(
-            _as_float(cfg, f"gg.{key}", spath) for key in ("p", "sigma", "h1", "h2")
+            _require(cfg, f"gg.{key}", spath) for key in ("p", "sigma", "h1", "h2")
         ))
     else:
         raise ParseError(
@@ -238,38 +239,20 @@ def cmd_simulate(args) -> int:
 
     cost_model = None
     if cls is not ChannelClass.FULL:
-        law_name = cfg.get("cost.law", "power")
-        if law_name == "power":
-            law = _checked(
-                BudgetLaw.power, spath, _KEY_OF,
-                _as_float(cfg, "cost.a", spath), _as_float(cfg, "cost.b", spath),
-            )
-        elif law_name == "log":
-            law = _checked(
-                BudgetLaw.log, spath, _KEY_OF, _as_float(cfg, "cost.a", spath)
-            )
-        else:
-            raise ParseError(
-                f"cost.law must be power or log, got {law_name!r}", path=spath
-            )
+        law_kind = cfg.get("cost.law", "power")
+        law = _checked(BudgetLaw, spath, _KEY_OF, law_kind, *(
+            _require(cfg, key, spath)
+            for key in (("cost.a", "cost.b") if law_kind == "power" else ("cost.a",))
+        ))
         n1, n2, _ = channel.dims
         cost_model = CostModel.unit(n1, n2, law)
 
-    ladder_raw = _require(cfg, "sim.ladder", spath)
-    try:
-        ladder = tuple(int(tok) for tok in ladder_raw.split(","))
-    except ValueError:
-        raise ParseError(
-            f"sim.ladder must be comma-separated integers, got {ladder_raw!r}",
-            path=spath,
-        )
-
     sim = _checked(
         SimConfig, spath, _KEY_OF,
-        n_ladder=ladder,
-        trials=_as_int(cfg, "sim.trials", spath),
-        master_seed=_as_int(cfg, "sim.seed", spath),
-        mu=_as_float(cfg, "sim.mu", spath),
+        n_ladder=_require(cfg, "sim.ladder", spath),
+        trials=_require(cfg, "sim.trials", spath),
+        master_seed=_require(cfg, "sim.seed", spath),
+        mu=_require(cfg, "sim.mu", spath),
         cost_model=cost_model,
         estimator=cfg.get("estimator", "direct"),
         workers=args.workers,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionTooLarge, NoFeasiblePoint, NonConvergence
-from .prob import Joint3Pmf, Pmf, _as_count, kl_divergence
+from .prob import Joint3Pmf, Pmf, _as_count, _as_prob_array, kl_divergence
 
 _MAX_BRUTE_CELLS = 8
 _FACE_SWEEPS = 100  # IPF sweeps before the first search for a boundary face
@@ -82,7 +82,7 @@ def _unwrap_joint(q):
     arr = np.asarray(q, dtype=float)
     if arr.ndim not in (2, 3):
         raise ValueError(f"joint must have 2 or 3 axes, got {arr.ndim}")
-    return arr
+    return _as_prob_array(arr, arr.ndim, "joint")
 
 
 def _normalize_constraints(q: np.ndarray, constraints) -> list:

@@ -290,7 +290,7 @@ def class_projection(cls: ChannelClass, p, q) -> IProjectionResult:
     R = Q P_V / Q_V, whose value is D(P_V || Q_V)."""
     pj = _as_joint(p)
     cons = {axis: marginal(pj, axis) for axis in pinned_axes(cls)}
-    return min_kl_fixed_marginals(_as_joint(q).probs, cons)
+    return min_kl_fixed_marginals(_as_joint(q), cons)
 
 
 def class_exponent(cls: ChannelClass, p, q) -> float:

@@ -155,8 +155,9 @@ def _fmt(x: float) -> str:
 def wilson_interval(successes: int, trials: int) -> tuple:
     """95% Wilson score interval; behaves sensibly at 0 and n successes."""
     trials = _as_count("trials", trials)
+    successes = _as_count("successes", successes, least=-math.inf)
     if not (0 <= successes <= trials):
-        raise ValueError("successes must lie in [0, trials]")
+        raise OutOfRange("successes", "must lie in [0, trials]")
     z = _WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -460,7 +461,7 @@ def default_tilt(problem: TestProblem, scheme: Scheme) -> Joint3Pmf:
     binds, E_mu's minimizer at the box's edge dominates the type-2 error
     event instead, and this tilt underestimates beta."""
     cons = {axis: scheme.ref(axis) for axis in pinned_axes(scheme.cls)}
-    return _as_tilt(min_kl_fixed_marginals(problem.q.probs, cons).argmin)
+    return _as_tilt(min_kl_fixed_marginals(problem.q, cons).argmin)
 
 
 def _as_tilt(argmin: np.ndarray) -> Joint3Pmf:

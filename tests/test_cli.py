@@ -377,6 +377,26 @@ class TestConfigFiles:
         f.write_text("# a comment\nout = a.csv\n")
         assert load_config(f) == {"out": "a.csv"}
 
+    def test_values_are_read_by_their_key(self, tmp_path):
+        f = tmp_path / "c.cfg"
+        f.write_text("sim.ladder = 8, 12\nsim.mu = 0.2\nsim.seed = 9\nout = a.csv\n")
+        assert load_config(f) == {
+            "sim.ladder": (8, 12), "sim.mu": 0.2, "sim.seed": 9, "out": "a.csv",
+        }
+
+    @pytest.mark.parametrize("line, says", [
+        ("sim.mu = x", "sim.mu must be a number, got 'x'"),
+        ("sim.trials = 2.5", "sim.trials must be an integer, got '2.5'"),
+        ("sim.ladder = 10,x", "sim.ladder must be comma-separated integers, got '10,x'"),
+        ("gg.p = x", "gg.p must be a number, got 'x'"),
+    ], ids=["number", "integer", "integers", "unused-key"])
+    def test_unreadable_value_reports_line(self, tmp_path, line, says):
+        f = tmp_path / "c.cfg"
+        f.write_text(f"out = a.csv\n{line}\n")
+        with pytest.raises(ParseError) as err:
+            load_config(f)
+        assert str(err.value) == f"{f}:2: {says}"
+
 
 def write_sim_config(workdir, **overrides):
     entries = {
@@ -502,6 +522,15 @@ class TestSimulate:
         code, _, err = run("simulate", str(cfg))
         assert code == 1
         assert "cost.law must be power or log, got 'linear'" in err
+
+    def test_unreadable_value_refused_under_an_unused_key(self, run, workdir):
+        # a dmmac run never reads gg.p, but a value that does not read is
+        # refused at load all the same
+        cfg = write_sim_config(workdir, **{"gg.p": "x"})
+        line = cfg.read_text().splitlines().index("gg.p = x") + 1
+        code, out, err = run("simulate", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}:{line}: gg.p must be a number, got 'x'\n"
 
     def test_boundary_instance_exact_ladder(self, run, workdir):
         cfg = write_sim_config(

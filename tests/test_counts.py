@@ -10,6 +10,7 @@ from steinmac.channels import (
     BudgetLaw,
     CostModel,
     GgMac,
+    admissible,
     cost_budget,
     gg_dn_tail,
     gg_ratio_bound,
@@ -54,6 +55,7 @@ SITES = [
     ("BudgetLaw.gamma", "n", LAW.gamma, 100, 0, "n must be >= 1"),
     ("cost_budget", "n", lambda n: cost_budget(CM, n), 100, 0, "n must be >= 1"),
     ("gg_sample", "n", lambda n: gg_sample(2.0, 1.0, n, 0), 10, 0, "n must be >= 1"),
+    ("admissible", "n", lambda n: admissible([0, 0], 1, CM, n), 2, 0, "n must be >= 1"),
     ("gg_ratio_bound", "n", lambda n: gg_ratio_bound(MAC, CM, n, 0.5),
      100, 0, "n must be >= 1"),
     ("gg_dn_tail", "trials", lambda t: gg_dn_tail(MAC, CM, 100, 0.5, t, 0),
@@ -76,6 +78,8 @@ SITES = [
     ("SimConfig", "workers", lambda w: SimConfig((10, 20), 10, 0, 0.2, workers=w),
      1, 0, "workers must be >= 1"),
     ("wilson_interval", "trials", lambda t: wilson_interval(0, t), 10, 0, "trials must be >= 1"),
+    ("wilson_interval", "successes", lambda s: wilson_interval(s, 10), 3, -1,
+     "successes must lie in [0, trials]"),
     ("run_trials", "trials", lambda t: run_trials(PROBLEM, None, SCHEME, 10, t, 0),
      10, 0, "trials must be >= 1"),
     ("importance_sample_beta", "trials",

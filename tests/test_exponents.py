@@ -157,6 +157,19 @@ class TestIProjection:
         with pytest.raises(ValueError, match="tol must be positive"):
             min_kl_fixed_marginals(q, cons, tol=math.nan, max_iters=100)
 
+    @pytest.mark.parametrize("q, says", [
+        ([[0.25, math.nan], [0.25, 0.25]], "finite and nonnegative"),
+        ([[0.5, -0.1], [0.3, 0.3]], "finite and nonnegative"),
+        ([[1.0, 1.0], [1.0, 1.0]], "sum to 1"),
+    ], ids=["nan", "negative", "unnormalised"])
+    def test_invalid_raw_q_refused_at_once(self, q, says):
+        # a NaN cell ran every sweep to NonConvergence, and a negative or
+        # unnormalised Q was solved as if it were a pmf
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=says):
+            min_kl_fixed_marginals(q, {0: Pmf([0.5, 0.5])})
+        assert time.perf_counter() - start < 0.1
+
     def test_lyapunov_monotone_per_sweep(self):
         # D(limit || iterate) is the quantity cyclic scaling shrinks
         rng = np.random.default_rng(55)
