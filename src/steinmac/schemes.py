@@ -147,14 +147,8 @@ def build_local_scheme(p_v, mu: float, n: int) -> Scheme:
     """Side-information-only rule: accept iff the observed v sequence is
     strongly typical for the null V marginal. Used when neither sensor
     can move the output distribution within a sublinear budget."""
-    _check_n_mu(n, mu)
-    return Scheme(
-        cls=ChannelClass.FULL,
-        n=n,
-        k=0,
-        mu=mu,
-        ref_v=_as_pmf(p_v, "p_v"),
-    )
+    fields = _blocklength_fields(ChannelClass.FULL, None, None, n, mu)
+    return Scheme(cls=ChannelClass.FULL, k=0, mu=mu, ref_v=_as_pmf(p_v, "p_v"), **fields)
 
 
 def build_marker_scheme(
@@ -170,17 +164,16 @@ def build_marker_scheme(
             f"channel classifies as {cls.label}, a marker scheme needs a "
             "sensor that can toggle"
         )
-    return _marker_scheme(cls, ch, markers, budget, mu, p_u1, p_u2, p_v)
-
-
-def _marker_scheme(cls, ch, markers, budget, mu, p_u1, p_u2, p_v) -> Scheme:
-    """build_marker_scheme once ch is known to classify as cls."""
     for s in cls.signalling:
         if markers.witness(s) is None:
             raise MarkerMismatch(f"scheme needs a sensor-{s} witness")
     verify_markers(ch, markers)
-    _check_budget(budget)
-    _check_n_mu(budget.n, mu)
+    return _marker_scheme(cls, ch, markers, _budget_fields(budget, mu), mu, p_u1, p_u2, p_v)
+
+
+def _marker_scheme(cls, ch, markers, fields, mu, p_u1, p_u2, p_v) -> Scheme:
+    """The cls scheme of markers that hold for ch, with the blocklength
+    fields n and k already checked."""
     per_sensor = {}
     for s, p_u in zip((1, 2), (p_u1, p_u2)):
         if s in cls.signalling:
@@ -188,12 +181,11 @@ def _marker_scheme(cls, ch, markers, budget, mu, p_u1, p_u2, p_v) -> Scheme:
             per_sensor[f"p_marker{s}"] = markers.witness(s).marker_prob(ch, s)
     return Scheme(
         cls=cls,
-        n=budget.n,
-        k=budget.k,
         mu=mu,
         ref_v=_as_pmf(p_v, "p_v"),
         markers=MarkerSet(*(markers.witness(s) if s in cls.signalling else None
                             for s in (1, 2))),
+        **fields,
         **per_sensor,
     )
 
@@ -228,16 +220,37 @@ def build_scheme_for_class(
             f"channel classifies as {got.label}, scheme needs {cls.label}"
         )
     markers = find_markers(ch, cls)
+    fields = _blocklength_fields(cls, markers, cm, n, mu)
+    return _marker_scheme(cls, ch, markers, fields, mu, p_u1, p_u2, p_v)
+
+
+def _blocklength_fields(
+    cls: ChannelClass, markers: MarkerSet | None, cm: CostModel | None, n: int, mu: float
+) -> dict:
+    """The fields of a cls scheme that depend on the blocklength: n and,
+    for a marker scheme, the signalling block length k of n's cost budget,
+    checked against every sensor's budget with the scheme's markers. The
+    class, markers, reference marginals and marker probabilities do not
+    depend on n, so `dataclasses.replace(scheme, **_blocklength_fields(...))`
+    moves a scheme to another blocklength, as build_scheme_for_class at
+    that n would build it."""
+    if not cls.signalling:
+        _check_n_mu(n, mu)
+        return {"n": n}
     budget = cost_budget(cm, n)
     _check_worst_costs(cls, markers, budget.k, cm, n)
-    return _marker_scheme(cls, ch, markers, budget, mu, p_u1, p_u2, p_v)
+    return _budget_fields(budget, mu)
 
 
-def _check_budget(budget: CostBudget) -> None:
+def _budget_fields(budget: CostBudget, mu: float) -> dict:
+    """n and k of a marker scheme spending `budget`, whose two blocks of k
+    slots must fit in n."""
     if budget.k < 1 or 2 * budget.k >= budget.n:
         raise BlocklengthTooSmall(
             f"budget has k={budget.k} at n={budget.n}; need 1 <= k and 2k < n"
         )
+    _check_n_mu(budget.n, mu)
+    return {"n": budget.n, "k": budget.k}
 
 
 def _check_n_mu(n: int, mu: float) -> None:

@@ -53,7 +53,13 @@ from .exponents import min_kl_fixed_marginals
 from .prob import Joint3Pmf, _as_count, _charged_cells, typical_bounds
 from .prob import quantile_map  # noqa: F401  (bench traces it by name)
 from .schemes import class_exponent  # noqa: F401  (bench traces it by name)
-from .schemes import Scheme, build_scheme_for_class, class_projection, pinned_axes
+from .schemes import (
+    Scheme,
+    _blocklength_fields,
+    build_scheme_for_class,
+    class_projection,
+    pinned_axes,
+)
 
 _BLOCK = 2048
 _MAX_STATES = 4_000_000  # marginal-count lattice states of an exact run
@@ -398,8 +404,8 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     offsets = stride_of if incidence is None else stride_of @ incidence
     moves = list(zip(probs[live].tolist(), offsets[live].astype(int).tolist()))
     box = tuple(slice(0, -1) for _ in shape)  # the states with no overflow
-    keep = np.zeros(states, dtype=bool)
-    keep[:size].reshape(shape)[box] = True
+    keep = np.zeros(states)  # 1.0 on the in-box states: a float multiply casts nothing
+    keep[:size].reshape(shape)[box] = 1.0
     lead_cap, lead_stride = (caps[order[0]], strides[0]) if order else (0, 1)
     lat = np.zeros(states)
     lat[0] = 1.0
@@ -426,12 +432,13 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
         lat, nxt = nxt, lat
 
     lat = lat[:size].reshape(shape)[box]
-    sums = [0] * len(caps)  # every read symbol's count at every in-box state
-    for d, coord in zip(order, np.ix_(*(np.arange(c) for c in lat.shape))):
-        sums[d] = coord
+    # every read symbol's count at every in-box state, states in C order; a
+    # symbol with no dimension counts 0, and a lattice with no dimension
+    # has one state
+    sums = np.zeros((len(caps), lat.size), dtype=np.int64)
+    sums[order] = np.indices(lat.shape).reshape(len(order), lat.size)
     for f, r in zip(free, rows.values()):
-        sums[f] = n - sum(sums[r])  # sums[f] is still 0
-    sums = np.stack(np.broadcast_arrays(*sums)).reshape(len(sums), -1)
+        sums[f] = n - sums[r].sum(axis=0)  # sums[f] is still 0
     flags = {a: flag.reshape(lat.shape) for a, flag in _typicality_flags(sums, bounds).items()}
     total = float(np.sum(lat * scheme.accept_weights(flags)))
     return math.ldexp(total, exp2)
@@ -625,12 +632,20 @@ def run_ladder(problem: TestProblem, channel, cls, config: SimConfig) -> SimRepo
     empirical type-2 exponent and attach the theoretical one.
 
     The class's I-projection is solved once: its value is the theoretical
-    exponent, and its minimizer tilts every importance-sampling rung."""
+    exponent, and its minimizer tilts every importance-sampling rung. The
+    scheme is built once, at the first rung; only its budget depends on
+    n, so each later rung re-runs the budget and its checks alone."""
     projection = class_projection(cls, problem.p, problem.q)
     tilt = _as_tilt(projection.argmin)
     points = []
+    scheme = build_scheme_for_class(
+        cls, channel, problem.p, config.cost_model, config.n_ladder[0], config.mu
+    )
     for n in config.n_ladder:
-        scheme = build_scheme_for_class(cls, channel, problem.p, config.cost_model, n, config.mu)
+        if n != scheme.n:
+            scheme = replace(scheme, **_blocklength_fields(
+                cls, scheme.markers, config.cost_model, n, config.mu
+            ))
         est = config.estimator
         if est == "exact":
             alpha, beta = exact_error_probs(problem, channel, scheme, n)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -16,9 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinmac import schemes, simulate
-from steinmac.channels import BudgetLaw, ChannelClass, CostModel, Dmmac, GgMac, find_markers
+from steinmac.channels import (
+    BudgetLaw,
+    ChannelClass,
+    CostModel,
+    Dmmac,
+    GgMac,
+    classify,
+    find_markers,
+)
 from steinmac.errors import (
     AbsoluteContinuityViolation,
+    BlocklengthTooSmall,
     DegenerateFit,
     InstanceTooLarge,
     OutOfRange,
@@ -402,6 +412,105 @@ class TestExactDpProperty:
         )
         got = _exact_accept_prob(Joint3Pmf(joint), scheme)
         assert got == pytest.approx(enumerated_accept_prob(joint, scheme), abs=1e-12)
+
+
+def flat_lattice_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
+    """The flat-lattice DP with a bool overflow mask and a readout that
+    broadcasts one open-grid coordinate per dimension: the reference
+    `_exact_accept_prob` must reproduce bit for bit."""
+    axes = pinned_axes(scheme.cls)
+    drop = tuple(a for a in range(3) if a not in axes)
+    reduced = joint.probs.sum(axis=drop, keepdims=True) if drop else joint.probs
+    n = scheme.n
+    incidence, bounds = plan = _read_plan(reduced.shape, scheme)
+    caps, rows = bounds[1][:, 0].tolist(), bounds[2]
+    free = [r.start + int(np.argmax(scheme.ref(a).probs)) for a, r in rows.items()]
+    order = sorted((d for d, c in enumerate(caps) if c > 0 and d not in free),
+                   key=lambda d: -caps[d])
+    shape = [caps[d] + 2 for d in order]
+    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    stride_of = np.zeros(len(caps))
+    stride_of[order] = strides
+    size = math.prod(shape)
+    pad = sum(strides)
+    states = size + pad
+    probs = reduced.ravel()
+    live = (probs > 0) & ~simulate._rejected_cells(plan)
+    offsets = stride_of if incidence is None else stride_of @ incidence
+    moves = list(zip(probs[live].tolist(), offsets[live].astype(int).tolist()))
+    box = tuple(slice(0, -1) for _ in shape)
+    keep = np.zeros(states, dtype=bool)
+    keep[:size].reshape(shape)[box] = True
+    lead_cap, lead_stride = (caps[order[0]], strides[0]) if order else (0, 1)
+    lat = np.zeros(states)
+    lat[0] = 1.0
+    nxt = np.zeros(states)
+    tmp = np.empty(states)
+    exp2 = 0
+    for t in range(n):
+        m = (min(t, lead_cap) + 1) * lead_stride
+        src, part, out = lat[:m], tmp[:m], nxt[:m + pad]
+        out.fill(0.0)
+        for p, off in moves:
+            np.multiply(src, p, out=part)
+            dst = out[off:off + m]
+            np.add(dst, part, out=dst)
+        out *= keep[:m + pad]
+        peak = out.max()
+        if peak == 0.0:
+            return 0.0
+        e = max(math.frexp(peak)[1], -1000)
+        out *= 2.0 ** -e
+        exp2 += e
+        lat, nxt = nxt, lat
+    lat = lat[:size].reshape(shape)[box]
+    sums = [0] * len(caps)
+    for d, coord in zip(order, np.ix_(*(np.arange(c) for c in lat.shape))):
+        sums[d] = coord
+    for f, r in zip(free, rows.values()):
+        sums[f] = n - sum(sums[r])
+    sums = np.stack(np.broadcast_arrays(*sums)).reshape(len(sums), -1)
+    flags = {a: flag.reshape(lat.shape)
+             for a, flag in simulate._typicality_flags(sums, bounds).items()}
+    total = float(np.sum(lat * scheme.accept_weights(flags)))
+    return math.ldexp(total, exp2)
+
+
+class TestExactDpBitIdentical:
+    @settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_flat_lattice_reference(self, data):
+        dims = (data.draw(st.sampled_from((2, 3))), 2, 2)
+        joint = Joint3Pmf(draw_pmf(data, math.prod(dims)).reshape(dims))
+        ref_u1, ref_u2, ref_v = (Pmf(draw_pmf(data, d)) for d in dims)
+        scheme = Scheme(
+            cls=data.draw(st.sampled_from(list(ChannelClass))),
+            n=data.draw(st.integers(1, 40)),
+            k=data.draw(st.integers(1, 5)),
+            mu=data.draw(st.floats(0.02, 0.6)),
+            ref_v=ref_v, ref_u1=ref_u1, ref_u2=ref_u2,
+            p_marker1=data.draw(st.floats(0.05, 1.0)),
+            p_marker2=data.draw(st.floats(0.05, 1.0)),
+        )
+        assert _exact_accept_prob(joint, scheme) == flat_lattice_accept_prob(joint, scheme)
+
+    @pytest.mark.parametrize("cls", list(ChannelClass))
+    @pytest.mark.parametrize("ref", [[0.0, 1.0], [1.0, 0.0], [0.0, 0.3, 0.7]])
+    def test_zero_probability_reference_symbol(self, cls, ref):
+        # a reference symbol of probability zero gets no lattice dimension,
+        # and a binary one leaves its axis none at all
+        rng = np.random.default_rng(22)
+        half = Pmf([0.5, 0.5])
+        refs = {a: half for a in range(3)}
+        for axis in pinned_axes(cls):
+            refs[axis] = Pmf(ref)
+            dims = tuple(refs[a].alphabet_size for a in range(3))
+            joint = Joint3Pmf(rng.dirichlet(np.ones(math.prod(dims))).reshape(dims))
+            for n in (1, 7, 30):
+                scheme = Scheme(cls=cls, n=n, k=2, mu=0.2, ref_u1=refs[0], ref_u2=refs[1],
+                                ref_v=refs[2], p_marker1=0.6, p_marker2=0.3)
+                got = _exact_accept_prob(joint, scheme)
+                assert got == flat_lattice_accept_prob(joint, scheme), (axis, n)
 
 
 def binary_flag_prob(q1, ref, mu, n):
@@ -1087,6 +1196,140 @@ class TestSimConfig:
             SimConfig(n_ladder=(10,), trials=5, master_seed=0, mu=1.5)
         with pytest.raises(ValueError, match="workers"):
             SimConfig(n_ladder=(10,), trials=5, master_seed=0, mu=0.2, workers=0)
+
+
+def class_kernel(data, cls):
+    """A random kernel that classifies as cls: sensor 1 toggles output 0
+    by switching off one input for every pilot, sensor 2 output 1 the
+    same way, and every other entry is positive."""
+    dims = (data.draw(st.sampled_from((2, 3))), data.draw(st.sampled_from((2, 3))),
+            data.draw(st.sampled_from((3, 4))))
+    cells = math.prod(dims)
+    k = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=cells, max_size=cells)))
+    k = k.reshape(dims)
+    # the last input first: the witness then sends a symbol that may cost
+    # more than the cheapest one the budget counts
+    if 1 in cls.signalling:
+        k[data.draw(st.sampled_from(range(dims[0])[::-1])), :, 0] = 0.0
+    if 2 in cls.signalling:
+        k[:, data.draw(st.sampled_from(range(dims[1])[::-1])), 1] = 0.0
+    return Dmmac(k / k.sum(axis=2, keepdims=True))
+
+
+def ladder_schemes(problem, channel, cls, config):
+    """The scheme run_ladder hands each exact rung, and the error that
+    stopped the ladder, if one did."""
+    seen = []
+
+    def record(problem, channel, scheme, n):
+        seen.append(scheme)
+        return 0.5, 0.5
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "exact_error_probs", record)
+        try:
+            run_ladder(problem, channel, cls, config)
+        except Exception as exc:  # compared with the builder's error below
+            return seen, exc
+    return seen, None
+
+
+def built_schemes(cls, channel, p, cm, ladder, mu):
+    """build_scheme_for_class at every rung, up to the first error."""
+    built = []
+    for n in ladder:
+        try:
+            built.append(build_scheme_for_class(cls, channel, p, cm, n, mu))
+        except Exception as exc:  # compared with the ladder's error
+            return built, exc
+    return built, None
+
+
+def assert_same_ladder(got, want):
+    (got_schemes, got_error), (want_schemes, want_error) = got, want
+    assert len(got_schemes) == len(want_schemes)
+    for a, b in zip(got_schemes, want_schemes):
+        for f in dataclasses.fields(Scheme):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x == y and type(x) is type(y), (b.n, f.name)
+    assert type(got_error) is type(want_error)
+    assert str(got_error) == str(want_error)
+
+
+class TestLadderBuildsSchemeOnce:
+    @pytest.mark.parametrize("cls", list(ChannelClass))
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_rungs_match_the_builder(self, cls, data):
+        ch = class_kernel(data, cls)
+        assert classify(ch) is cls
+        # near-unit costs, so that whether the marker symbols' worst case
+        # fits the budget turns on the rounding of k, rung by rung
+        cost = st.sampled_from((1.0, 2.25))
+        costs = [np.array([0.0] + data.draw(st.lists(cost, min_size=d - 1, max_size=d - 1)))
+                 for d in ch.dims[:2]]
+        law = data.draw(st.one_of(
+            st.builds(BudgetLaw.power, st.floats(1.5, 6.0), st.floats(0.4, 0.8)),
+            st.builds(BudgetLaw.log, st.floats(3.0, 10.0)),
+        ))
+        cm = CostModel(*costs, law, law)
+        dims = (*ch.dims[:2], 2)
+        cells = math.prod(dims)
+        p = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=cells, max_size=cells)))
+        problem = TestProblem(Joint3Pmf((p / p.sum()).reshape(dims)),
+                              Joint3Pmf(np.full(dims, 1.0 / cells)))
+        steps = data.draw(st.lists(st.integers(1, 80), min_size=1, max_size=5))
+        ladder = [int(n) for n in np.cumsum([data.draw(st.integers(10, 100)), *steps])]
+        mu = data.draw(st.floats(0.05, 0.5))
+        config = SimConfig(n_ladder=ladder, trials=1, master_seed=0, mu=mu,
+                           cost_model=cm, estimator="exact")
+        assert_same_ladder(ladder_schemes(problem, ch, cls, config),
+                           built_schemes(cls, ch, problem.p, cm, ladder, mu))
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_local_ladder_on_gg_channel(self, data):
+        p_v = draw_pmf(data, data.draw(st.integers(2, 4)))
+        problem, _ = local_fixture(p_v, np.full(p_v.size, 1.0 / p_v.size), 0.2, 1)
+        gg = GgMac(2.0, 1.0, 1.0, 1.0)
+        ladder = sorted(set(data.draw(st.lists(st.integers(1, 150), min_size=1, max_size=5))))
+        mu = data.draw(st.floats(0.05, 0.5))
+        config = SimConfig(n_ladder=ladder, trials=1, master_seed=0, mu=mu,
+                           estimator="exact")
+        assert_same_ladder(
+            ladder_schemes(problem, gg, ChannelClass.FULL, config),
+            built_schemes(ChannelClass.FULL, gg, problem.p, None, ladder, mu),
+        )
+
+    def test_first_rung_too_short(self):
+        problem, ch, cm, _ = sparse_fixture()
+        config = SimConfig(n_ladder=(2, 8, 12), trials=1, master_seed=0, mu=0.2,
+                           cost_model=cm, estimator="exact")
+        got = ladder_schemes(problem, ch, ChannelClass.SPARSE, config)
+        assert got[0] == []
+        assert isinstance(got[1], BlocklengthTooSmall)
+        assert str(got[1]) == "budget at n=2 gives k=0; need 1 <= k and 2k < n"
+        assert_same_ladder(got, built_schemes(ChannelClass.SPARSE, ch, problem.p, cm,
+                                              config.n_ladder, 0.2))
+
+    def test_later_rung_over_budget(self):
+        # sensor 1's witness switches off input 2, which costs 2.25 where the
+        # budget counts 1: worst case 2.25 k against Gamma(n) = sqrt(n)
+        # fits at n = 12 (k = 1) and 21 (k = 2) but not at n = 16 (k = 2)
+        k = np.full((3, 2, 3), 1 / 3)
+        k[2, :, 0] = 0.0
+        k[2, :, 1:] = 0.5
+        ch, law = Dmmac(k), BudgetLaw.power(1.0, 0.5)
+        cm = CostModel([0.0, 1.0, 2.25], [0.0, 1.0], law, law)
+        problem = TestProblem(Joint3Pmf(np.full((3, 2, 2), 1 / 12)),
+                              Joint3Pmf(np.full((3, 2, 2), 1 / 12)))
+        config = SimConfig(n_ladder=(12, 16, 21), trials=1, master_seed=0, mu=0.2,
+                           cost_model=cm, estimator="exact")
+        got = ladder_schemes(problem, ch, ChannelClass.SPARSE_FULL, config)
+        assert [s.n for s in got[0]] == [12]
+        assert str(got[1]) == "sensor-1 worst-case cost 4.5 exceeds budget 4 at n=16"
+        assert_same_ladder(got, built_schemes(ChannelClass.SPARSE_FULL, ch, problem.p, cm,
+                                              config.n_ladder, 0.2))
 
 
 class TestRunLadder:
