@@ -259,8 +259,9 @@ def _certifies_face(p: np.ndarray, q: np.ndarray, steps, face: np.ndarray) -> bo
     lam[piv] = lam_piv
     # y is -lam less its projection on the span of A's face columns, found
     # by Gram-Schmidt in plain array arithmetic: the first LAPACK call of a
-    # process (pinv, lstsq) adds about 1.5 MB of resident memory, and
-    # nothing else on the exponent path makes one
+    # process adds 1.3-1.5 MB of resident memory (lstsq 1.3, pinv 1.45;
+    # numpy 2.4, x86-64 Linux), and no CLI path makes one, which
+    # tests/test_cli.py::TestNoLapack checks
     y = -lam
     basis = []
     for col in a[:, on].T:

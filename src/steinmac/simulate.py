@@ -620,10 +620,13 @@ def fit_exponent(points) -> float:
 
 
 def _ls_slope(pts) -> float:
-    ns = np.array([n for n, _ in pts], dtype=float)
-    ys = -np.log(np.array([b for _, b in pts]))
-    slope, _ = np.polyfit(ns, ys, 1)
-    return float(slope)
+    """Least-squares slope of -ln(b) against n, in closed form about the
+    means: a ladder's few points need no LAPACK solve (see exponents.py)."""
+    n_bar = math.fsum(n for n, _ in pts) / len(pts)
+    ys = [-math.log(b) for _, b in pts]
+    y_bar = math.fsum(ys) / len(ys)
+    dn = [n - n_bar for n, _ in pts]
+    return math.fsum(d * (y - y_bar) for d, y in zip(dn, ys)) / math.fsum(d * d for d in dn)
 
 
 def run_ladder(problem: TestProblem, channel, cls, config: SimConfig) -> SimReport:
@@ -636,7 +639,8 @@ def run_ladder(problem: TestProblem, channel, cls, config: SimConfig) -> SimRepo
     scheme is built once, at the first rung; only its budget depends on
     n, so each later rung re-runs the budget and its checks alone."""
     projection = class_projection(cls, problem.p, problem.q)
-    tilt = _as_tilt(projection.argmin)
+    est = config.estimator
+    tilt = _as_tilt(projection.argmin) if est == "importance" else None
     points = []
     scheme = build_scheme_for_class(
         cls, channel, problem.p, config.cost_model, config.n_ladder[0], config.mu
@@ -646,7 +650,6 @@ def run_ladder(problem: TestProblem, channel, cls, config: SimConfig) -> SimRepo
             scheme = replace(scheme, **_blocklength_fields(
                 cls, scheme.markers, config.cost_model, n, config.mu
             ))
-        est = config.estimator
         if est == "exact":
             alpha, beta = exact_error_probs(problem, channel, scheme, n)
             points.append(LadderPoint(n, est, alpha, alpha, alpha, beta, beta, beta, 0.0))

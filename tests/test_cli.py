@@ -12,6 +12,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -421,6 +422,22 @@ def write_sim_config(workdir, **overrides):
     return path
 
 
+# a local-scheme direct ladder over the additive generalized-Gaussian channel
+GG_LOCAL = {
+    "channel.kind": "gg",
+    "channel.file": None,
+    "gg.p": "2",
+    "gg.sigma": "1",
+    "gg.h1": "1",
+    "gg.h2": "1",
+    "cost.a": None,
+    "cost.b": None,
+    "estimator": "direct",
+    "sim.ladder": "10,20,30",
+    "sim.trials": "200",
+}
+
+
 class TestSimulate:
     def test_exact_ladder_golden_values(self, run, workdir):
         cfg = write_sim_config(workdir)
@@ -452,22 +469,7 @@ class TestSimulate:
         assert (workdir / "run.csv").exists()
 
     def test_additive_channel_runs_local_scheme(self, run, workdir):
-        cfg = write_sim_config(
-            workdir,
-            **{
-                "channel.kind": "gg",
-                "channel.file": None,
-                "gg.p": "2",
-                "gg.sigma": "1",
-                "gg.h1": "1",
-                "gg.h2": "1",
-                "cost.a": None,
-                "cost.b": None,
-                "estimator": "direct",
-                "sim.ladder": "10,20,30",
-                "sim.trials": "200",
-            },
-        )
+        cfg = write_sim_config(workdir, **GG_LOCAL)
         code, out, _ = run("simulate", str(cfg))
         assert code == 0
         assert len((workdir / "run.csv").read_text().splitlines()) == 4
@@ -571,6 +573,43 @@ class TestSimulate:
             code, _, err = run("simulate", str(cfg))
             assert code == 1, overrides
             assert err.startswith("error:")
+
+
+class _NoLapack:
+    """Stands in for numpy's LAPACK module: any use of it fails the test."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"LAPACK reached: _umath_linalg.{name}")
+
+
+class TestNoLapack:
+    """No CLI path calls LAPACK, whose first call in a process adds 1.3-1.5
+    MB of resident memory (see exponents._certifies_face)."""
+
+    @pytest.fixture(autouse=True)
+    def no_lapack(self, monkeypatch):
+        monkeypatch.setattr("numpy.linalg._linalg._umath_linalg", _NoLapack())
+        with pytest.raises(AssertionError, match="LAPACK reached"):
+            np.linalg.lstsq(np.eye(2), np.ones(2))
+
+    @pytest.mark.parametrize("argv", [
+        ["exponent", "uniform.problem", "--channel", "adder.kernel"],
+        ["exponent", "boundary.problem", "--channel", "adder.kernel"],  # face certificate
+        ["classify", "adder.kernel"],
+    ])
+    def test_exponent_and_classify(self, run, workdir, argv):
+        argv = [str(workdir / a) if a.endswith((".problem", ".kernel")) else a for a in argv]
+        code, _, err = run(*argv)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("overrides", [
+        {"estimator": "exact"}, {"estimator": "direct"}, {"estimator": "importance"}, GG_LOCAL,
+    ], ids=["exact", "direct", "importance", "gg_local"])
+    def test_simulate_fits_its_ladder(self, run, workdir, overrides):
+        cfg = write_sim_config(workdir, **overrides)
+        code, out, err = run("simulate", str(cfg))
+        assert code == 0, err
+        assert "fitted_exponent: nan" not in out  # the fit ran
 
 
 class TestOutOfRangeValues:

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1092,6 +1093,28 @@ class TestImportanceSampling:
             assert pt.beta_hat == beta[0]
 
 
+def _polyfit_slope(pts):
+    ns, betas = zip(*pts)
+    return float(np.polyfit(ns, -np.log(betas), 1)[0])
+
+
+def _exact_slope(pts):
+    """The least-squares slope in rational arithmetic, of the same -ln(b)."""
+    ns = [Fraction(n) for n, _ in pts]
+    ys = [Fraction(-math.log(b)) for _, b in pts]
+    n_bar, y_bar = sum(ns) / len(ns), sum(ys) / len(ys)
+    num = sum((n - n_bar) * (y - y_bar) for n, y in zip(ns, ys))
+    return float(num / sum((n - n_bar) ** 2 for n in ns))
+
+
+@st.composite
+def _ladder_points(draw):
+    """3-8 strictly increasing blocklengths in [1, 1e5], beta in [1e-300, 1]."""
+    ns = sorted(draw(st.lists(st.integers(1, 10**5), min_size=3, max_size=8, unique=True)))
+    betas = draw(st.lists(st.floats(1e-300, 1.0), min_size=len(ns), max_size=len(ns)))
+    return list(zip(ns, betas))
+
+
 class TestFitExponent:
     def test_recovers_synthetic_decay_exactly(self):
         t = 0.2
@@ -1150,6 +1173,28 @@ class TestFitExponent:
         with pytest.raises(DegenerateFit) as err:
             fit_exponent([(10, 0.0), (20, 0.0), (30, 0.0)])
         assert err.value.lower_bound is None
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(pts=_ladder_points())
+    def test_closed_form_matches_polyfit(self, pts):
+        slope = fit_exponent(pts)
+        want = _polyfit_slope(pts)
+        assert abs(slope - want) <= 1e-9 * max(1.0, abs(want))
+        # polyfit's own error reaches ~1e-9 where n clusters near 1e5; the
+        # closed form stays at rounding level of the exact slope
+        exact = _exact_slope(pts)
+        assert abs(slope - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(pts=_ladder_points(), data=st.data())
+    def test_lower_bound_matches_polyfit_over_survivors(self, pts, data):
+        dead = data.draw(st.sets(st.integers(0, len(pts) - 1), min_size=1,
+                                 max_size=len(pts) - 2))
+        pts = [(n, 0.0 if i in dead else b) for i, (n, b) in enumerate(pts)]
+        with pytest.raises(DegenerateFit) as err:
+            fit_exponent(pts)
+        want = _polyfit_slope([(n, b) for n, b in pts if b > 0])
+        assert abs(err.value.lower_bound - want) <= 1e-9 * max(1.0, abs(want))
 
 
 class TestSimConfig:
