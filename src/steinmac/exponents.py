@@ -35,9 +35,7 @@ class MarginalConstraintSet:
         norm = []
         seen = set()
         for axis, target in cons:
-            axis = int(axis)
-            if axis < 0:
-                raise ValueError("axis must be nonnegative")
+            axis = _as_count("axis", axis, least=0)
             if axis in seen:
                 raise ValueError(f"axis {axis} constrained twice")
             seen.add(axis)

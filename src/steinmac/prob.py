@@ -119,12 +119,18 @@ def _probs_of(dist) -> np.ndarray:
 def kl_divergence(p, q) -> float:
     """D(P || Q) in nats, with the 0 ln 0 = 0 convention.
 
-    Raises AbsoluteContinuityViolation if P charges a cell that Q does not;
-    the result is therefore always finite and nonnegative.
+    Raises ValueError if an entry of either argument is negative or not
+    finite, and AbsoluteContinuityViolation if P charges a cell that Q does
+    not; the result is therefore always finite and nonnegative.
     """
     pa, qa = _probs_of(p), _probs_of(q)
     if pa.shape != qa.shape:
         raise ValueError(f"shape mismatch: {pa.shape} vs {qa.shape}")
+    for what, arr in (("p", pa), ("q", qa)):
+        # only the entries are checked, since a raw IPF iterate's sum is off
+        # by rounding: a min that is not NaN and a finite sum accept them
+        if not (arr.min() >= 0 and math.isfinite(arr.sum())):
+            raise ValueError(f"{what} entries must be finite and nonnegative")
     mask = _charged_cells(pa, qa)
     pm = pa[mask]
     val = float(np.sum(pm * np.log(pm / qa[mask])))

@@ -65,6 +65,9 @@ class Scheme:
     p_marker2: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_count("n", self.n))
+        if not 0 < self.mu < 1:  # NaN fails too
+            raise ValueError("mu must lie in (0, 1)")
         for axis in pinned_axes(self.cls):
             if self.ref(axis) is None:
                 field = ("ref_u1", "ref_u2", "ref_v")[axis]
@@ -147,8 +150,7 @@ def build_local_scheme(p_v, mu: float, n: int) -> Scheme:
     """Side-information-only rule: accept iff the observed v sequence is
     strongly typical for the null V marginal. Used when neither sensor
     can move the output distribution within a sublinear budget."""
-    fields = _blocklength_fields(ChannelClass.FULL, None, None, n, mu)
-    return Scheme(cls=ChannelClass.FULL, k=0, mu=mu, ref_v=_as_pmf(p_v, "p_v"), **fields)
+    return Scheme(cls=ChannelClass.FULL, n=n, k=0, mu=mu, ref_v=_as_pmf(p_v, "p_v"))
 
 
 def build_marker_scheme(
@@ -168,12 +170,10 @@ def build_marker_scheme(
         if markers.witness(s) is None:
             raise MarkerMismatch(f"scheme needs a sensor-{s} witness")
     verify_markers(ch, markers)
-    return _marker_scheme(cls, ch, markers, _budget_fields(budget, mu), mu, p_u1, p_u2, p_v)
-
-
-def _marker_scheme(cls, ch, markers, fields, mu, p_u1, p_u2, p_v) -> Scheme:
-    """The cls scheme of markers that hold for ch, with the blocklength
-    fields n and k already checked."""
+    if budget.k < 1 or 2 * budget.k >= budget.n:
+        raise BlocklengthTooSmall(
+            f"budget has k={budget.k} at n={budget.n}; need 1 <= k and 2k < n"
+        )
     per_sensor = {}
     for s, p_u in zip((1, 2), (p_u1, p_u2)):
         if s in cls.signalling:
@@ -181,11 +181,12 @@ def _marker_scheme(cls, ch, markers, fields, mu, p_u1, p_u2, p_v) -> Scheme:
             per_sensor[f"p_marker{s}"] = markers.witness(s).marker_prob(ch, s)
     return Scheme(
         cls=cls,
+        n=budget.n,
+        k=budget.k,
         mu=mu,
         ref_v=_as_pmf(p_v, "p_v"),
         markers=MarkerSet(*(markers.witness(s) if s in cls.signalling else None
                             for s in (1, 2))),
-        **fields,
         **per_sensor,
     )
 
@@ -220,43 +221,8 @@ def build_scheme_for_class(
             f"channel classifies as {got.label}, scheme needs {cls.label}"
         )
     markers = find_markers(ch, cls)
-    fields = _blocklength_fields(cls, markers, cm, n, mu)
-    return _marker_scheme(cls, ch, markers, fields, mu, p_u1, p_u2, p_v)
-
-
-def _blocklength_fields(
-    cls: ChannelClass, markers: MarkerSet | None, cm: CostModel | None, n: int, mu: float
-) -> dict:
-    """The fields of a cls scheme that depend on the blocklength: n and,
-    for a marker scheme, the signalling block length k of n's cost budget,
-    checked against every sensor's budget with the scheme's markers. The
-    class, markers, reference marginals and marker probabilities do not
-    depend on n, so `dataclasses.replace(scheme, **_blocklength_fields(...))`
-    moves a scheme to another blocklength, as build_scheme_for_class at
-    that n would build it."""
-    if not cls.signalling:
-        _check_n_mu(n, mu)
-        return {"n": n}
-    budget = cost_budget(cm, n)
-    _check_worst_costs(cls, markers, budget.k, cm, n)
-    return _budget_fields(budget, mu)
-
-
-def _budget_fields(budget: CostBudget, mu: float) -> dict:
-    """n and k of a marker scheme spending `budget`, whose two blocks of k
-    slots must fit in n."""
-    if budget.k < 1 or 2 * budget.k >= budget.n:
-        raise BlocklengthTooSmall(
-            f"budget has k={budget.k} at n={budget.n}; need 1 <= k and 2k < n"
-        )
-    _check_n_mu(budget.n, mu)
-    return {"n": budget.n, "k": budget.k}
-
-
-def _check_n_mu(n: int, mu: float) -> None:
-    _as_count("n", n)
-    if not (0 < mu < 1):
-        raise ValueError("mu must lie in (0, 1)")
+    budget = _checked_budget(cls, markers, cm, n)
+    return build_marker_scheme(ch, markers, budget, mu, p_u1, p_u2, p_v)
 
 
 def _check_costs_match(ch: Dmmac, cm: CostModel) -> None:
@@ -268,21 +234,27 @@ def _check_costs_match(ch: Dmmac, cm: CostModel) -> None:
         )
 
 
-def _check_worst_costs(
-    cls: ChannelClass, markers: MarkerSet, k: int, cm: CostModel, n: int
-) -> None:
+def _checked_budget(
+    cls: ChannelClass, markers: MarkerSet, cm: CostModel, n: int
+) -> CostBudget:
+    """cm's budget at blocklength n, checked against the worst-case cost of
+    the cls scheme's markers. This is the only step of a marker scheme that
+    depends on n, so `dataclasses.replace(scheme, n=n, k=budget.k)` moves a
+    scheme to another blocklength, as build_scheme_for_class at n builds it."""
+    budget = cost_budget(cm, n)
     worst = {1: 0.0, 2: 0.0}
     for s in cls.signalling:
         w, partner = markers.witness(s), 3 - s
-        worst[s] += k * max(cm.costs(s)[w.off_input], cm.costs(s)[w.on_input])
-        worst[partner] += k * cm.costs(partner)[w.partner_pilot]
+        worst[s] += budget.k * max(cm.costs(s)[w.off_input], cm.costs(s)[w.on_input])
+        worst[partner] += budget.k * cm.costs(partner)[w.partner_pilot]
     for sensor, cost in worst.items():
-        budget = cm.gamma(sensor, n)
-        if cost > budget:
+        limit = cm.gamma(sensor, budget.n)
+        if cost > limit:
             raise CostBudgetExceeded(
                 f"sensor-{sensor} worst-case cost {cost:g} exceeds "
-                f"budget {budget:g} at n={n}"
+                f"budget {limit:g} at n={budget.n}"
             )
+    return budget
 
 
 def pinned_axes(cls: ChannelClass) -> tuple:

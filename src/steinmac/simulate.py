@@ -55,7 +55,7 @@ from .prob import quantile_map  # noqa: F401  (bench traces it by name)
 from .schemes import class_exponent  # noqa: F401  (bench traces it by name)
 from .schemes import (
     Scheme,
-    _blocklength_fields,
+    _checked_budget,
     build_scheme_for_class,
     class_projection,
     pinned_axes,
@@ -647,9 +647,9 @@ def run_ladder(problem: TestProblem, channel, cls, config: SimConfig) -> SimRepo
     )
     for n in config.n_ladder:
         if n != scheme.n:
-            scheme = replace(scheme, **_blocklength_fields(
-                cls, scheme.markers, config.cost_model, n, config.mu
-            ))
+            k = (_checked_budget(cls, scheme.markers, config.cost_model, n).k
+                 if cls.signalling else 0)
+            scheme = replace(scheme, n=n, k=k)
         if est == "exact":
             alpha, beta = exact_error_probs(problem, channel, scheme, n)
             points.append(LadderPoint(n, est, alpha, alpha, alpha, beta, beta, beta, 0.0))

@@ -11,6 +11,7 @@ from steinmac.errors import (
     DimensionTooLarge,
     NoFeasiblePoint,
     NonConvergence,
+    OutOfRange,
 )
 from steinmac.channels import ChannelClass
 from steinmac.exponents import (
@@ -83,6 +84,17 @@ class TestConstraintSet:
     def test_duplicate_axis_rejected(self):
         with pytest.raises(ValueError):
             MarginalConstraintSet([(0, Pmf([0.5, 0.5])), (0, Pmf([0.3, 0.7]))])
+
+    @pytest.mark.parametrize("axis, text", [
+        (1.5, "axis must be an integer, got 1.5"),
+        (1.0, "axis must be an integer, got 1.0"),
+        (-1, "axis must be >= 0"),
+    ])
+    def test_axis_is_a_count(self, axis, text):
+        # a fraction once truncated to the axis below it
+        with pytest.raises(OutOfRange) as err:
+            MarginalConstraintSet({axis: Pmf([0.5, 0.5])})
+        assert err.value.field == "axis" and str(err.value) == text
 
 
 class TestIProjection:

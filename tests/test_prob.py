@@ -145,6 +145,17 @@ class TestKl:
             w = rng.dirichlet(np.ones(4))
             assert kl_divergence(Pmf(w), Pmf(w.copy())) >= 0.0
 
+    @pytest.mark.parametrize("bad", [
+        [-0.5, 1.5], [math.nan, 1.0], [math.inf, 0.5], [0.5, -math.inf],
+    ])
+    def test_raw_arrays_need_finite_nonnegative_entries(self, bad):
+        # unchecked, (-0.5, 1.5) read 1.6479 and (nan, 1) read 0.6931
+        uniform = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="p entries must be finite and nonnegative"):
+            kl_divergence(np.array(bad), uniform)
+        with pytest.raises(ValueError, match="q entries must be finite and nonnegative"):
+            kl_divergence(uniform, np.array(bad))
+
 
 class TestMarginal:
     def test_raw_array(self):

@@ -1,5 +1,8 @@
+import ast
+import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from steinmac.errors import (
     CostBudgetExceeded,
     LengthMismatch,
     MarkerMismatch,
+    OutOfRange,
 )
 from steinmac.exponents import local_stein_exponent
 from steinmac.prob import Pmf, kl_divergence, marginal
@@ -117,6 +121,42 @@ class TestSchemeFields:
         Scheme(cls=ChannelClass.SPARSE_FULL, n=10, k=1, mu=0.2, ref_v=half,
                ref_u1=half, p_marker1=1.0)
         Scheme(cls=ChannelClass.FULL, n=10, k=0, mu=0.2, ref_v=half)
+
+
+def sparse_scheme():
+    return build_scheme_for_class(
+        ChannelClass.SPARSE, noisy_sparse_kernel(), np.full((2, 2, 2), 0.125),
+        CostModel.unit(2, 2, BudgetLaw.power(1.0, 0.5)), 100, 0.2,
+    )
+
+
+class TestSchemeChecksNAndMu:
+    """A Scheme built by hand or moved with dataclasses.replace checks its
+    own blocklength and window, as the builders do."""
+
+    @pytest.mark.parametrize("n", [0, -3, 10.0, np.float64(10)], ids=repr)
+    def test_n_must_be_a_count(self, n):
+        with pytest.raises(OutOfRange) as err:
+            Scheme(cls=ChannelClass.FULL, n=n, k=0, mu=0.2, ref_v=Pmf([0.5, 0.5]))
+        assert err.value.field == "n"
+        with pytest.raises(OutOfRange) as err:
+            dataclasses.replace(sparse_scheme(), n=n)
+        assert err.value.field == "n"
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0, -0.1, 1.5, math.nan], ids=repr)
+    def test_mu_must_lie_in_the_open_unit_interval(self, mu):
+        with pytest.raises(ValueError) as err:
+            Scheme(cls=ChannelClass.FULL, n=10, k=0, mu=mu, ref_v=Pmf([0.5, 0.5]))
+        assert str(err.value) == "mu must lie in (0, 1)"
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(sparse_scheme(), mu=mu)
+        assert str(err.value) == "mu must lie in (0, 1)"
+
+    def test_numpy_count_stored_as_int(self):
+        s = Scheme(cls=ChannelClass.FULL, n=np.int64(16), k=0, mu=0.2, ref_v=Pmf([0.5, 0.5]))
+        assert s.n == 16 and type(s.n) is int
+        moved = dataclasses.replace(sparse_scheme(), n=np.int64(16))
+        assert moved.n == 16 and type(moved.n) is int
 
 
 class TestEncoders:
@@ -445,6 +485,74 @@ class TestBuildForClass:
         )
         assert s.k == 5
         assert np.allclose(s.ref_v.probs, marginal(self.p, 2).probs)
+
+
+def random_class_kernel(rng, cls):
+    """A random kernel that classifies as cls: sensor 1 toggles output 0
+    by switching off one input for every pilot, sensor 2 output 1 the
+    same way, and every other entry is positive."""
+    dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(3, 5)))
+    k = rng.uniform(0.05, 1.0, dims)
+    if 1 in cls.signalling:
+        k[rng.integers(dims[0]), :, 0] = 0.0
+    if 2 in cls.signalling:
+        k[:, rng.integers(dims[1]), 1] = 0.0
+    return Dmmac(k / k.sum(axis=2, keepdims=True))
+
+
+def assert_same_scheme(got, want):
+    for f in dataclasses.fields(Scheme):
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        assert x == y and type(x) is type(y), f.name
+
+
+class TestOneBuilder:
+    """build_scheme_for_class derives markers, budget and marginals, and
+    leaves the scheme itself to build_marker_scheme or build_local_scheme."""
+
+    @pytest.mark.parametrize("cls", [c for c in ChannelClass if c.signalling],
+                             ids=lambda c: c.label)
+    def test_marker_classes_go_through_build_marker_scheme(self, cls):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            ch = random_class_kernel(rng, cls)
+            assert classify(ch) is cls
+            cm = CostModel.unit(*ch.dims[:2], BudgetLaw.power(1.0, 0.5))
+            p = rng.dirichlet(np.ones(4 * ch.dims[0] * ch.dims[1])).reshape(*ch.dims[:2], 4)
+            n, mu = int(rng.integers(20, 400)), float(rng.uniform(0.01, 0.99))
+            got = build_scheme_for_class(cls, ch, p, cm, n, mu)
+            want = build_marker_scheme(
+                ch, find_markers(ch, cls), cost_budget(cm, n), mu,
+                *(marginal(p, axis) for axis in range(3)),
+            )
+            assert_same_scheme(got, want)
+
+    def test_full_goes_through_build_local_scheme(self):
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)
+            n, mu = int(rng.integers(1, 400)), float(rng.uniform(0.01, 0.99))
+            got = build_scheme_for_class(ChannelClass.FULL, None, p, None, n, mu)
+            assert_same_scheme(got, build_local_scheme(marginal(p, 2), mu, n))
+
+    def test_only_the_builders_call_scheme(self):
+        callers = set()
+        for path in Path(schemes.__file__).parent.glob("*.py"):
+            _scheme_callers(ast.parse(path.read_text()), path.name, None, callers)
+        assert callers == {("schemes.py", "build_local_scheme"),
+                           ("schemes.py", "build_marker_scheme")}
+
+
+def _scheme_callers(node, module, func, out):
+    """Add (module, enclosing function) for every Scheme(...) call under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    if isinstance(node, ast.Call):
+        f = node.func
+        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "Scheme":
+            out.add((module, func))
+    for child in ast.iter_child_nodes(node):
+        _scheme_callers(child, module, func, out)
 
 
 class TestMirroredChannel:
