@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionTooLarge, NoFeasiblePoint, NonConvergence
-from .prob import Joint3Pmf, Pmf, _as_count, _as_prob_array, kl_divergence
+from .prob import Joint3Pmf, Pmf, _as_count, _as_prob_array, _Checked, kl_divergence
 
 _MAX_BRUTE_CELLS = 8
 _FACE_SWEEPS = 100  # IPF sweeps before the first search for a boundary face
@@ -23,7 +23,7 @@ _CERT_TOL = 1e-12  # mass a certified face may leave off, for any feasible joint
 
 
 @dataclass(frozen=True)
-class MarginalConstraintSet:
+class MarginalConstraintSet(_Checked):
     """Targets for a subset of axes, at most one per axis."""
 
     constraints: tuple
@@ -39,9 +39,7 @@ class MarginalConstraintSet:
             if axis in seen:
                 raise ValueError(f"axis {axis} constrained twice")
             seen.add(axis)
-            if not isinstance(target, Pmf):
-                target = Pmf(target)
-            norm.append((axis, target))
+            norm.append((axis, Pmf.of(target)))
         object.__setattr__(self, "constraints", tuple(norm))
 
     def __iter__(self):
@@ -67,11 +65,7 @@ class IProjectionResult:
 
 def local_stein_exponent(p_v: Pmf, q_v: Pmf) -> float:
     """Best error exponent with no channel help: D(P_V || Q_V)."""
-    if not isinstance(p_v, Pmf):
-        p_v = Pmf(p_v)
-    if not isinstance(q_v, Pmf):
-        q_v = Pmf(q_v)
-    return kl_divergence(p_v, q_v)
+    return kl_divergence(Pmf.of(p_v), Pmf.of(q_v))
 
 
 def _unwrap_joint(q):
@@ -84,10 +78,8 @@ def _unwrap_joint(q):
 
 
 def _normalize_constraints(q: np.ndarray, constraints) -> list:
-    if not isinstance(constraints, MarginalConstraintSet):
-        constraints = MarginalConstraintSet(constraints)
     out = []
-    for axis, target in constraints:
+    for axis, target in MarginalConstraintSet.of(constraints):
         if axis >= q.ndim:
             raise ValueError(f"axis {axis} out of range for {q.ndim}-axis joint")
         if target.alphabet_size != q.shape[axis]:

@@ -42,14 +42,35 @@ def _as_prob_array(values, ndim, what):
     return arr
 
 
+class _Checked:
+    """A type whose constructor checks its argument."""
+
+    @classmethod
+    def of(cls, x):
+        """x itself if it is already a cls, else cls(x), which checks it: the
+        one way an argument becomes a pmf, a joint or a constraint set."""
+        return x if isinstance(x, cls) else cls(x)
+
+
 @dataclass(frozen=True, eq=False)
-class Pmf:
-    """Probability mass function on a finite alphabet {0, ..., K-1}."""
+class _Distribution(_Checked):
+    """A checked pmf as a tensor of _NDIM axes; Pmf and Joint3Pmf set it."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _as_prob_array(self.probs, 1, "Pmf"))
+        probs = _as_prob_array(self.probs, self._NDIM, type(self).__name__)
+        object.__setattr__(self, "probs", probs)
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and np.array_equal(self.probs, other.probs)
+
+
+@dataclass(frozen=True, eq=False)
+class Pmf(_Distribution):
+    """Probability mass function on a finite alphabet {0, ..., K-1}."""
+
+    _NDIM = 1
 
     @property
     def alphabet_size(self) -> int:
@@ -59,18 +80,12 @@ class Pmf:
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.probs > 0)
 
-    def __eq__(self, other):
-        return isinstance(other, Pmf) and np.array_equal(self.probs, other.probs)
-
 
 @dataclass(frozen=True, eq=False)
-class Joint3Pmf:
+class Joint3Pmf(_Distribution):
     """Joint pmf of a source triple (U1, U2, V) as a three-axis tensor."""
 
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _as_prob_array(self.probs, 3, "Joint3Pmf"))
+    _NDIM = 3
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -78,9 +93,6 @@ class Joint3Pmf:
 
     def marginal(self, axis: int) -> Pmf:
         return marginal(self, axis)
-
-    def __eq__(self, other):
-        return isinstance(other, Joint3Pmf) and np.array_equal(self.probs, other.probs)
 
 
 @dataclass(frozen=True)
@@ -119,14 +131,16 @@ def _probs_of(dist) -> np.ndarray:
 def kl_divergence(p, q) -> float:
     """D(P || Q) in nats, with the 0 ln 0 = 0 convention.
 
-    Raises ValueError if an entry of either argument is negative or not
-    finite, and AbsoluteContinuityViolation if P charges a cell that Q does
-    not; the result is therefore always finite and nonnegative.
+    Raises ValueError if either argument is empty or has an entry that is
+    negative or not finite, and AbsoluteContinuityViolation if P charges a
+    cell that Q does not; the result is therefore finite and nonnegative.
     """
     pa, qa = _probs_of(p), _probs_of(q)
     if pa.shape != qa.shape:
         raise ValueError(f"shape mismatch: {pa.shape} vs {qa.shape}")
     for what, arr in (("p", pa), ("q", qa)):
+        if arr.size == 0:
+            raise ValueError(f"{what} must not be empty")
         # only the entries are checked, since a raw IPF iterate's sum is off
         # by rounding: a min that is not NaN and a finite sum accept them
         if not (arr.min() >= 0 and math.isfinite(arr.sum())):
@@ -152,8 +166,7 @@ def _charged_cells(pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
 
 def marginal(joint, axis: int) -> Pmf:
     """Marginal pmf of one axis of a three-way joint (Joint3Pmf or array)."""
-    if not isinstance(joint, Joint3Pmf):
-        joint = Joint3Pmf(joint)
+    joint = Joint3Pmf.of(joint)
     if axis not in (U1, U2, V):
         raise ValueError(f"axis must be one of {U1}, {U2}, {V}, got {axis}")
     other = tuple(a for a in range(3) if a != axis)
@@ -178,9 +191,10 @@ def empirical_type(seq, alphabet_size: int) -> SequenceType:
     return SequenceType(counts, int(arr.size))
 
 
-def is_strongly_typical(seq, p: Pmf, mu: float) -> bool:
+def is_strongly_typical(seq, p, mu: float) -> bool:
     """Strong typicality of one sequence: every symbol count inside its
-    typical_bounds interval."""
+    typical_bounds interval of p (a Pmf or anything Pmf takes)."""
+    p = Pmf.of(p)
     t = empirical_type(seq, p.alphabet_size)
     lo, hi = typical_bounds(p, mu, t.n)
     return bool(np.all((t.counts >= lo) & (t.counts <= hi)))
@@ -196,7 +210,7 @@ def typical_bounds(p, mu: float, n: int) -> tuple:
     form one interval. Its ends are found by evaluating that test on the
     counts next to n (p[s] - mu) and n (p[s] + mu), a step or two per end
     at any n, so the bounds decide exactly what the float test decides."""
-    probs = _probs_of(p)
+    probs = Pmf.of(p).probs
     if not mu >= 0:
         raise ValueError("mu must be >= 0")
     n = _as_count("n", n)

@@ -31,19 +31,6 @@ from .exponents import IProjectionResult, min_kl_fixed_marginals
 from .prob import Joint3Pmf, Pmf, _as_count, is_strongly_typical, marginal, require_length
 
 
-def _as_pmf(p, what: str) -> Pmf:
-    if isinstance(p, Pmf):
-        return p
-    try:
-        return Pmf(p)
-    except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from exc
-
-
-def _as_joint(p) -> Joint3Pmf:
-    return p if isinstance(p, Joint3Pmf) else Joint3Pmf(p)
-
-
 @dataclass(frozen=True)
 class Scheme:
     """A concrete encoder pair plus decision rule for one blocklength.
@@ -65,12 +52,17 @@ class Scheme:
     p_marker2: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _as_count("n", self.n))
+        for name, least in (("n", 1), ("k", 1 if self.cls.signalling else 0)):
+            object.__setattr__(self, name, _as_count(name, getattr(self, name), least))
         if not 0 < self.mu < 1:  # NaN fails too
             raise ValueError("mu must lie in (0, 1)")
-        for axis in pinned_axes(self.cls):
-            if self.ref(axis) is None:
-                field = ("ref_u1", "ref_u2", "ref_v")[axis]
+        for axis, field in enumerate(("ref_u1", "ref_u2", "ref_v")):
+            if self.ref(axis) is not None:
+                try:
+                    object.__setattr__(self, field, Pmf.of(self.ref(axis)))
+                except ValueError as exc:
+                    raise ValueError(f"{field}: {exc}") from exc
+            elif axis in pinned_axes(self.cls):
                 raise ValueError(f"a {self.cls.label} scheme reads axis {axis} and needs {field}")
         for s in self.cls.signalling:
             p = self.p_marker1 if s == 1 else self.p_marker2
@@ -150,7 +142,7 @@ def build_local_scheme(p_v, mu: float, n: int) -> Scheme:
     """Side-information-only rule: accept iff the observed v sequence is
     strongly typical for the null V marginal. Used when neither sensor
     can move the output distribution within a sublinear budget."""
-    return Scheme(cls=ChannelClass.FULL, n=n, k=0, mu=mu, ref_v=_as_pmf(p_v, "p_v"))
+    return Scheme(cls=ChannelClass.FULL, n=n, k=0, mu=mu, ref_v=p_v)
 
 
 def build_marker_scheme(
@@ -177,14 +169,14 @@ def build_marker_scheme(
     per_sensor = {}
     for s, p_u in zip((1, 2), (p_u1, p_u2)):
         if s in cls.signalling:
-            per_sensor[f"ref_u{s}"] = _as_pmf(p_u, f"p_u{s}")
+            per_sensor[f"ref_u{s}"] = p_u
             per_sensor[f"p_marker{s}"] = markers.witness(s).marker_prob(ch, s)
     return Scheme(
         cls=cls,
         n=budget.n,
         k=budget.k,
         mu=mu,
-        ref_v=_as_pmf(p_v, "p_v"),
+        ref_v=p_v,
         markers=MarkerSet(*(markers.witness(s) if s in cls.signalling else None
                             for s in (1, 2))),
         **per_sensor,
@@ -204,9 +196,8 @@ def build_scheme_for_class(
     class's scheme. Also checks that the worst-case encoder output actually
     fits the budget, since the marker symbols need not be the cheapest ones
     the budget arithmetic assumed."""
-    pj = _as_joint(p)
     # only the marginals the rule reads: a sensor that does not signal gets None
-    p_u1, p_u2, p_v = (marginal(pj, axis) if axis in pinned_axes(cls) else None
+    p_u1, p_u2, p_v = (marginal(p, axis) if axis in pinned_axes(cls) else None
                        for axis in (0, 1, 2))
     if cls is ChannelClass.FULL:
         return build_local_scheme(p_v, mu, n)
@@ -273,9 +264,8 @@ def class_projection(cls: ChannelClass, p, q) -> IProjectionResult:
     is dominated instead by the minimizer of E_mu, at the box's edge. The
     full class pins only V, so one sweep solves it exactly:
     R = Q P_V / Q_V, whose value is D(P_V || Q_V)."""
-    pj = _as_joint(p)
-    cons = {axis: marginal(pj, axis) for axis in pinned_axes(cls)}
-    return min_kl_fixed_marginals(_as_joint(q), cons)
+    cons = {axis: marginal(p, axis) for axis in pinned_axes(cls)}
+    return min_kl_fixed_marginals(Joint3Pmf.of(q), cons)
 
 
 def class_exponent(cls: ChannelClass, p, q) -> float:

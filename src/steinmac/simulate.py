@@ -78,8 +78,7 @@ class TestProblem:
     q: Joint3Pmf
 
     def __post_init__(self):
-        p = self.p if isinstance(self.p, Joint3Pmf) else Joint3Pmf(self.p)
-        q = self.q if isinstance(self.q, Joint3Pmf) else Joint3Pmf(self.q)
+        p, q = Joint3Pmf.of(self.p), Joint3Pmf.of(self.q)
         if p.dims != q.dims:
             raise ValueError(f"dims mismatch: {p.dims} vs {q.dims}")
         _charged_cells(p.probs, q.probs)  # raises unless P << Q
@@ -217,10 +216,15 @@ def _read_plan(dims, scheme: Scheme) -> tuple:
     and the joint has no other, the cell counts are that axis's counts.
     bounds is (lo, hi, rows): every read symbol's typical count interval,
     stacked axis by axis as columns (read symbols, 1), and each read axis's
-    slice of those rows."""
+    slice of those rows. Raises ValueError if a read axis's reference pmf
+    and the joint's axis differ in size."""
     axes = pinned_axes(scheme.cls)
     lo, hi, rows, start = [], [], {}, 0
     for a in axes:
+        size = scheme.ref(a).alphabet_size
+        if size != dims[a]:
+            raise ValueError(
+                f"reference on axis {a} has size {size}, joint axis has size {dims[a]}")
         a_lo, a_hi = typical_bounds(scheme.ref(a), scheme.mu, scheme.n)
         lo.append(a_lo)
         hi.append(a_hi)
@@ -541,10 +545,7 @@ def importance_sample_beta(
     trials = _as_count("trials", trials)
     if seed is None:
         raise ValueError("seed is required for a reproducible estimate")
-    if tilt is None:
-        tilt = default_tilt(problem, scheme)
-    elif not isinstance(tilt, Joint3Pmf):
-        tilt = Joint3Pmf(tilt)
+    tilt = default_tilt(problem, scheme) if tilt is None else Joint3Pmf.of(tilt)
     plan = _read_plan(problem.q.dims, scheme)
     _check_tilt(problem, tilt, plan)
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import importlib.metadata
@@ -5,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -292,6 +294,13 @@ class TestExponent:
             "exponent", str(workdir / "uniform.problem"), "--gg", "2,1,1"
         )
         assert code == 1 and "p,sigma,h1,h2" in err
+
+    def test_non_numeric_gg_argument(self, run, workdir):
+        code, out, err = run(
+            "exponent", str(workdir / "uniform.problem"), "--gg", "a,b,c,d"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --gg expects four numbers, got 'a,b,c,d'\n"
 
     @pytest.mark.parametrize("problem, tail, golden", [
         ("frozen.problem", ["--channel", "noisy.kernel"], GOLDEN_FROZEN_NOISY),
@@ -715,14 +724,42 @@ class TestMalformedInput:
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def declared_scripts():
-    """The ``[project.scripts]`` table of this checkout's pyproject.toml."""
+def declared_project():
+    """The ``[project]`` table of this checkout's pyproject.toml."""
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         from pip._vendor import tomli as tomllib
     with PYPROJECT.open("rb") as f:
-        return tomllib.load(f)["project"]["scripts"]
+        return tomllib.load(f)["project"]
+
+
+def declared_scripts():
+    """The ``[project.scripts]`` table of this checkout's pyproject.toml."""
+    return declared_project()["scripts"]
+
+
+def third_party_imports():
+    """Top-level modules that src/steinmac imports from outside the
+    standard library and the package itself."""
+    names = set()
+    for path in Path(steinmac.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"steinmac"}
+
+
+class TestPackaging:
+    def test_runtime_dependencies_are_the_imported_modules(self):
+        # scipy is a test dependency: only tests import it
+        declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+                    for spec in declared_project()["dependencies"]}
+        assert declared == third_party_imports() == {"numpy"}
+        assert any(spec.startswith("scipy")
+                   for spec in declared_project()["optional-dependencies"]["test"])
 
 
 def distribution_installed(name):

@@ -156,6 +156,14 @@ class TestKl:
         with pytest.raises(ValueError, match="q entries must be finite and nonnegative"):
             kl_divergence(uniform, np.array(bad))
 
+    def test_empty_arrays_refused(self):
+        with pytest.raises(ValueError) as err:
+            kl_divergence(np.array([]), np.array([]))
+        assert str(err.value) == "p must not be empty"
+        with pytest.raises(ValueError) as err:
+            kl_divergence(np.zeros((2, 0)), np.zeros((2, 0)))
+        assert str(err.value) == "p must not be empty"
+
 
 class TestMarginal:
     def test_raw_array(self):

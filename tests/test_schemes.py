@@ -159,6 +159,43 @@ class TestSchemeChecksNAndMu:
         assert moved.n == 16 and type(moved.n) is int
 
 
+class TestSchemeChecksK:
+    """k is a count: at least 1 where a sensor signals, at least 0 for the
+    full class, whose rule sends no block (the exact-DP property tests
+    build full-class schemes with k >= 1 as plain containers)."""
+
+    @pytest.mark.parametrize("k, message", [
+        (-1, "k must be >= 0"), (2.5, "k must be an integer, got 2.5"),
+    ], ids=repr)
+    def test_full_class_k_is_a_count(self, k, message):
+        with pytest.raises(OutOfRange) as err:
+            Scheme(cls=ChannelClass.FULL, n=10, k=k, mu=0.2, ref_v=Pmf([0.5, 0.5]))
+        assert (err.value.field, str(err.value)) == ("k", message)
+        with pytest.raises(OutOfRange) as err:
+            dataclasses.replace(build_local_scheme(Pmf([0.5, 0.5]), 0.2, 10), k=k)
+        assert (err.value.field, str(err.value)) == ("k", message)
+
+    @pytest.mark.parametrize("k, message", [
+        (0, "k must be >= 1"), (-1, "k must be >= 1"), (2.5, "k must be an integer, got 2.5"),
+    ], ids=repr)
+    @pytest.mark.parametrize("cls", [
+        ChannelClass.SPARSE, ChannelClass.SPARSE_FULL, ChannelClass.FULL_SPARSE,
+    ])
+    def test_signalling_class_needs_k_at_least_one(self, cls, k, message):
+        with pytest.raises(OutOfRange) as err:
+            hand_scheme(cls, k=k)
+        assert (err.value.field, str(err.value)) == ("k", message)
+        with pytest.raises(OutOfRange) as err:
+            dataclasses.replace(sparse_scheme(), k=k)
+        assert (err.value.field, str(err.value)) == ("k", message)
+
+    def test_numpy_count_stored_as_int(self):
+        moved = dataclasses.replace(sparse_scheme(), k=np.int64(3))
+        assert moved.k == 3 and type(moved.k) is int
+        full = Scheme(cls=ChannelClass.FULL, n=10, k=2, mu=0.2, ref_v=Pmf([0.5, 0.5]))
+        assert full.k == 2
+
+
 class TestEncoders:
     def test_sparse_layout(self):
         s = hand_scheme(ChannelClass.SPARSE)

@@ -242,6 +242,32 @@ class TestProblemValidation:
         assert str(err.value) == "P > 0 but Q == 0 at cell (0, 1, 1)"
 
 
+class TestReferenceSizes:
+    """Every estimator reads _read_plan, which refuses a read axis whose
+    reference pmf does not match the problem's alphabet on that axis."""
+
+    @pytest.mark.parametrize("estimate", [
+        lambda problem, scheme: run_trials(problem, None, scheme, 10, 100, seed=0),
+        lambda problem, scheme: exact_error_probs(problem, None, scheme, 10),
+        # without a tilt, the solver of the default tilt refuses first
+        lambda problem, scheme: importance_sample_beta(
+            problem, None, scheme, 10, 100, tilt=problem.q, seed=0),
+    ], ids=["direct", "exact", "importance"])
+    def test_side_axis(self, estimate):
+        problem = TestProblem(np.full((1, 2, 2), 0.25), np.full((1, 2, 2), 0.25))
+        scheme = build_local_scheme([0.2, 0.3, 0.5], 0.2, 10)
+        with pytest.raises(ValueError) as err:
+            estimate(problem, scheme)
+        assert str(err.value) == "reference on axis 2 has size 3, joint axis has size 2"
+
+    def test_sensor_axis(self):
+        problem, ch, _, scheme = sparse_fixture()
+        scheme = dataclasses.replace(scheme, ref_u1=[0.2, 0.3, 0.5])
+        with pytest.raises(ValueError) as err:
+            exact_error_probs(problem, ch, scheme, 8)
+        assert str(err.value) == "reference on axis 0 has size 3, joint axis has size 2"
+
+
 class TestWilson:
     def test_boundaries_are_exact(self):
         lo, hi = wilson_interval(0, 100)
