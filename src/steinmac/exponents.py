@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionTooLarge, NoFeasiblePoint, NonConvergence
-from .prob import Joint3Pmf, Pmf, _as_count, _as_prob_array, _Checked, kl_divergence
+from .prob import Joint3Pmf, Pmf, _as_count, _as_prob_array, _Checked, _incidence, kl_divergence
 
 _MAX_BRUTE_CELLS = 8
 _FACE_SWEEPS = 100  # IPF sweeps before the first search for a boundary face
@@ -77,20 +77,6 @@ def _unwrap_joint(q):
     return _as_prob_array(arr, arr.ndim, "joint")
 
 
-def _normalize_constraints(q: np.ndarray, constraints) -> list:
-    out = []
-    for axis, target in MarginalConstraintSet.of(constraints):
-        if axis >= q.ndim:
-            raise ValueError(f"axis {axis} out of range for {q.ndim}-axis joint")
-        if target.alphabet_size != q.shape[axis]:
-            raise ValueError(
-                f"target on axis {axis} has size {target.alphabet_size}, "
-                f"joint axis has size {q.shape[axis]}"
-            )
-        out.append((axis, target.probs))
-    return out
-
-
 def min_kl_fixed_marginals(
     q,
     constraints,
@@ -115,15 +101,14 @@ def min_kl_fixed_marginals(
     the iterate restricted to it, where convergence is geometric.
     """
     qa = _unwrap_joint(q)
-    cons = _normalize_constraints(qa, constraints)
+    steps = _sweep_plan(qa, constraints)
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     max_iters = _as_count("max_iters", max_iters)
 
-    if not cons:
+    if not steps:
         return IProjectionResult(0.0, qa.copy(), 0, 0.0, int(np.count_nonzero(qa)))
 
-    steps = _sweep_plan(qa.ndim, cons)
     p = qa.copy()
     iterates = []
     sweeps = 0
@@ -177,15 +162,24 @@ def min_kl_fixed_marginals(
     )
 
 
-def _sweep_plan(ndim: int, cons) -> list:
-    """Per constrained axis: the axis, its target, the axes its marginal
-    sums out, and the shape that broadcasts a per-symbol factor along it."""
+def _sweep_plan(q: np.ndarray, constraints) -> list:
+    """The constraints on the joint q as the solver reads them, one step
+    per constrained axis: the axis, its target probs, the axes its marginal
+    sums out, and the shape that broadcasts a per-symbol factor along it.
+    Raises ValueError for an axis q lacks or a target of the wrong size."""
     steps = []
-    for axis, target in cons:
-        shape = [1] * ndim
+    for axis, target in MarginalConstraintSet.of(constraints):
+        if axis >= q.ndim:
+            raise ValueError(f"axis {axis} out of range for {q.ndim}-axis joint")
+        if target.alphabet_size != q.shape[axis]:
+            raise ValueError(
+                f"target on axis {axis} has size {target.alphabet_size}, "
+                f"joint axis has size {q.shape[axis]}"
+            )
+        shape = [1] * q.ndim
         shape[axis] = -1
-        others = tuple(a for a in range(ndim) if a != axis)
-        steps.append((axis, target, others, tuple(shape)))
+        others = tuple(a for a in range(q.ndim) if a != axis)
+        steps.append((axis, target.probs, others, tuple(shape)))
     return steps
 
 
@@ -234,11 +228,7 @@ def _certifies_face(p: np.ndarray, q: np.ndarray, steps, face: np.ndarray) -> bo
     on = face.reshape(-1)[live]
     if on.all():
         return False
-    cells = np.unravel_index(live, p.shape)
-    a = np.concatenate([
-        cells[axis][None, :] == np.arange(target.size)[:, None]
-        for axis, target, _, _ in steps
-    ]).astype(float)
+    a = _incidence(p.shape, [axis for axis, *_ in steps])[:, live]
     b = np.concatenate([target for _, target, _, _ in steps])
     ratio = np.log(p.reshape(-1)[live] / q.reshape(-1)[live])
     try:
@@ -270,23 +260,16 @@ def _certifies_face(p: np.ndarray, q: np.ndarray, steps, face: np.ndarray) -> bo
     return slack <= _CERT_TOL * s_min
 
 
-def _constraint_rows(shape, cons, qflat):
-    """Equality system A x = b over flattened cells: total mass, one row per
-    constrained symbol, and a pin-to-zero row per unsupported cell of Q."""
-    cells = int(np.prod(shape))
-    rows = [np.ones(cells)]
-    rhs = [1.0]
-    grids = np.indices(shape).reshape(len(shape), cells)
-    for axis, target in cons:
-        for sym in range(shape[axis]):
-            rows.append((grids[axis] == sym).astype(float))
-            rhs.append(float(target[sym]))
-    for cell in np.flatnonzero(qflat == 0):
-        row = np.zeros(cells)
-        row[cell] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
+def _constraint_rows(q: np.ndarray, steps):
+    """Equality system A x = b over the flattened cells of q: total mass,
+    one row per constrained symbol, and a pin-to-zero row per unsupported
+    cell of Q."""
+    qflat = q.ravel()
+    pins = np.eye(qflat.size)[qflat == 0]
+    a = np.concatenate([
+        np.ones((1, qflat.size)), _incidence(q.shape, [axis for axis, *_ in steps]), pins])
+    b = np.concatenate([[1.0], *(target for _, target, _, _ in steps), np.zeros(len(pins))])
+    return a, b
 
 
 def _reduce_system(a, b, tol=1e-11):
@@ -338,9 +321,9 @@ def brute_force_min_kl(q, constraints, grid_step: float, refine: int = 0) -> flo
     if not (0 < grid_step < 1):
         raise ValueError("grid_step must lie in (0, 1)")
     refine = _as_count("refine", refine, least=0)
-    cons = _normalize_constraints(qa, constraints)
+    steps = _sweep_plan(qa, constraints)
     qflat = qa.ravel()
-    a, b = _constraint_rows(qa.shape, cons, qflat)
+    a, b = _constraint_rows(qa, steps)
     ared, bred, pivots = _reduce_system(a, b)
     free = [c for c in range(qflat.size) if c not in pivots]
 
@@ -441,7 +424,7 @@ def brute_force_min_kl(q, constraints, grid_step: float, refine: int = 0) -> flo
         # a thin polytope can slip between coarse grid points, but the outer
         # product of the pinned marginals (uniform on free axes) satisfies
         # every constraint, so refinement can start from there
-        pinned = dict(cons)
+        pinned = {axis: target for axis, target, _, _ in steps}
         seed = np.ones(())
         for axis, size in enumerate(qa.shape):
             seed = np.multiply.outer(

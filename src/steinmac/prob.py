@@ -173,6 +173,17 @@ def marginal(joint, axis: int) -> Pmf:
     return Pmf(joint.probs.sum(axis=other))
 
 
+def _incidence(dims, axes) -> np.ndarray:
+    """The 0/1 matrix (symbols of `axes` in turn, cells in row-major order)
+    of a joint over `dims`: each axis's rows times the flattened joint give
+    that axis's marginal, and each column holds one 1 per axis. No axes
+    give no rows."""
+    cells = math.prod(dims)
+    symbol = np.unravel_index(np.arange(cells), dims)
+    return np.concatenate(
+        [np.zeros((0, cells))] + [np.eye(dims[a])[:, symbol[a]] for a in axes])
+
+
 def empirical_type(seq, alphabet_size: int) -> SequenceType:
     """Count symbol occurrences of an integer sequence."""
     arr = np.asarray(seq)

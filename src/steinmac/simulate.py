@@ -50,7 +50,7 @@ from .errors import (
     ZeroTiltOnSupport,
 )
 from .exponents import min_kl_fixed_marginals
-from .prob import Joint3Pmf, _as_count, _charged_cells, typical_bounds
+from .prob import Joint3Pmf, _as_count, _charged_cells, _incidence, typical_bounds
 from .prob import quantile_map  # noqa: F401  (bench traces it by name)
 from .schemes import class_exponent  # noqa: F401  (bench traces it by name)
 from .schemes import (
@@ -196,13 +196,15 @@ if hasattr(os, "register_at_fork"):
 def _map_blocks(trials: int, seed, workers: int, block_fn) -> list:
     """block_fn(seed_seq, count) over blocks of at most _BLOCK trials, each
     seeded from (seed, block index); results come back in block order.
-    The pool holds at most one thread per usable core: the executor starts
-    a thread per submitted block while none is idle."""
+    A scalar seed and the worker count are counts (_as_count); a tuple
+    seed goes to SeedSequence as it is. The pool holds at most one thread
+    per usable core: the executor starts a thread per submitted block
+    while none is idle."""
     counts = [min(_BLOCK, trials - start) for start in range(0, trials, _BLOCK)]
-    entropy = seed if isinstance(seed, (tuple, list)) else (int(seed),)
+    entropy = seed if isinstance(seed, (tuple, list)) else (_as_count("seed", seed, least=0),)
     seeds = [np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(len(counts))]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, cores or 1)
+    workers = min(_as_count("workers", workers), cores or 1)
     if workers > 1:
         return list(_pool(workers).map(block_fn, seeds, counts))
     return [block_fn(s, c) for s, c in zip(seeds, counts)]
@@ -210,10 +212,10 @@ def _map_blocks(trials: int, seed, workers: int, block_fn) -> list:
 
 def _read_plan(dims, scheme: Scheme) -> tuple:
     """(incidence, bounds): what the rule reads of a joint over `dims`, the
-    one plan of every estimator. incidence is the 0/1 matrix (read symbols,
-    cells) from the joint cells to the symbols of every axis the rule
-    reads, or None in place of the identity: when the rule reads one axis
-    and the joint has no other, the cell counts are that axis's counts.
+    one plan of every estimator. incidence is prob._incidence over the
+    axes the rule reads, the 0/1 matrix (read symbols, cells), or None in
+    place of the identity: when the rule reads one axis and the joint has
+    no other, the cell counts are that axis's counts.
     bounds is (lo, hi, rows): every read symbol's typical count interval,
     stacked axis by axis as columns (read symbols, 1), and each read axis's
     slice of those rows. Raises ValueError if a read axis's reference pmf
@@ -231,11 +233,9 @@ def _read_plan(dims, scheme: Scheme) -> tuple:
         rows[a] = slice(start, start + a_lo.size)
         start += a_lo.size
     bounds = np.concatenate(lo)[:, None], np.concatenate(hi)[:, None], rows
-    cells = math.prod(dims)
-    if len(axes) == 1 and cells == dims[axes[0]]:
+    if len(axes) == 1 and math.prod(dims) == dims[axes[0]]:
         return None, bounds
-    symbol = np.unravel_index(np.arange(cells), dims)
-    return np.concatenate([np.eye(dims[a])[:, symbol[a]] for a in axes]), bounds
+    return _incidence(dims, axes), bounds
 
 
 def _rejected_cells(plan: tuple) -> np.ndarray:
@@ -353,6 +353,39 @@ def run_trials(
 # --- exact error probabilities ---
 
 
+def _lattice(scheme: Scheme) -> tuple:
+    """(caps, free, order, shape, strides): the exact DP's count lattice,
+    from typical_bounds alone. caps holds every read symbol's greatest
+    typical count, in _read_plan's row order; free each read axis's
+    likeliest reference symbol, whose count follows from n; order the
+    symbols that get a dimension, by decreasing cap; shape and strides
+    those dimensions', each with one overflow slot past its cap. Raises
+    InstanceTooLarge, before anything is allocated, when the padded
+    lattice holds more than _MAX_STATES states or n steps over it exceed
+    _MAX_STEP_STATES."""
+    caps, free = [], []
+    for a in pinned_axes(scheme.cls):
+        ref = scheme.ref(a)
+        probs = ref.probs.tolist()  # faster than np.argmax on a few symbols
+        free.append(len(caps) + probs.index(max(probs)))
+        caps += typical_bounds(ref, scheme.mu, scheme.n)[1].tolist()
+    order = sorted((d for d, c in enumerate(caps) if c > 0 and d not in free),
+                   key=lambda d: -caps[d])
+    shape = [caps[d] + 2 for d in order]  # counts 0..cap, then overflow
+    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    states = math.prod(shape) + sum(strides)
+    if states > _MAX_STATES:
+        raise InstanceTooLarge(
+            f"{states} padded lattice states exceed the {_MAX_STATES} cap"
+        )
+    if scheme.n * states > _MAX_STEP_STATES:
+        raise InstanceTooLarge(
+            f"{scheme.n} steps over {states} padded lattice states exceed the "
+            f"{_MAX_STEP_STATES} step-state cap"
+        )
+    return caps, free, order, shape, strides
+
+
 def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     """P(decide 0) when the source triple is iid from `joint`.
 
@@ -379,28 +412,13 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     reduced = joint.probs.sum(axis=drop, keepdims=True) if drop else joint.probs
     n = scheme.n
     incidence, bounds = plan = _read_plan(reduced.shape, scheme)
-    caps, rows = bounds[1][:, 0].tolist(), bounds[2]
-
-    # each axis's likeliest reference symbol: its count follows from n
-    free = [r.start + int(np.argmax(scheme.ref(a).probs)) for a, r in rows.items()]
-    order = sorted((d for d, c in enumerate(caps) if c > 0 and d not in free),
-                   key=lambda d: -caps[d])
-    shape = [caps[d] + 2 for d in order]  # counts 0..cap, then overflow
-    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    rows = bounds[2]
+    caps, free, order, shape, strides = _lattice(scheme)
     stride_of = np.zeros(len(caps))
     stride_of[order] = strides
     size = math.prod(shape)
     pad = sum(strides)  # the largest move, so every shifted slice fits
     states = size + pad
-    if states > _MAX_STATES:
-        raise InstanceTooLarge(
-            f"{states} padded lattice states exceed the {_MAX_STATES} cap"
-        )
-    if n * states > _MAX_STEP_STATES:
-        raise InstanceTooLarge(
-            f"{n} steps over {states} padded lattice states exceed the "
-            f"{_MAX_STEP_STATES} step-state cap"
-        )
 
     probs = reduced.ravel()
     live = (probs > 0) & ~_rejected_cells(plan)
@@ -638,19 +656,24 @@ def run_ladder(problem: TestProblem, channel, cls, config: SimConfig) -> SimRepo
     The class's I-projection is solved once: its value is the theoretical
     exponent, and its minimizer tilts every importance-sampling rung. The
     scheme is built once, at the first rung; only its budget depends on
-    n, so each later rung re-runs the budget and its checks alone."""
+    n, so each later rung re-runs the budget and its checks alone. Every
+    rung's scheme, and every exact rung's lattice, is checked before the
+    first rung runs, so a ladder that a later rung refuses fails at once."""
     projection = class_projection(cls, problem.p, problem.q)
     est = config.estimator
     tilt = _as_tilt(projection.argmin) if est == "importance" else None
     points = []
-    scheme = build_scheme_for_class(
+    schemes = [build_scheme_for_class(
         cls, channel, problem.p, config.cost_model, config.n_ladder[0], config.mu
-    )
-    for n in config.n_ladder:
-        if n != scheme.n:
-            k = (_checked_budget(cls, scheme.markers, config.cost_model, n).k
-                 if cls.signalling else 0)
-            scheme = replace(scheme, n=n, k=k)
+    )]
+    for n in config.n_ladder[1:]:
+        k = (_checked_budget(cls, schemes[0].markers, config.cost_model, n).k
+             if cls.signalling else 0)
+        schemes.append(replace(schemes[0], n=n, k=k))
+    if est == "exact":
+        for scheme in schemes:
+            _lattice(scheme)
+    for n, scheme in zip(config.n_ladder, schemes):
         if est == "exact":
             alpha, beta = exact_error_probs(problem, channel, scheme, n)
             points.append(LadderPoint(n, est, alpha, alpha, alpha, beta, beta, beta, 0.0))

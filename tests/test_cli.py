@@ -557,6 +557,19 @@ class TestSimulate:
         theta = float(rows[0]["theoretical_exponent"])
         assert abs(theta - math.log(1.25)) <= 1e-12
 
+    def test_boundary_exact_ladder_refused_before_any_rung(self, run, workdir):
+        # the DP would take about 2.4 s over n = 100 and 200 before its
+        # lattice at n = 400 overflowed; every rung is sized first instead
+        cfg = write_sim_config(
+            workdir, problem="boundary.problem",
+            **{"sim.mu": "0.05", "sim.ladder": "100,200,400"},
+        )
+        start = time.perf_counter()
+        code, out, err = run("simulate", str(cfg))
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (1, "")
+        assert err == "error: 10842924 padded lattice states exceed the 4000000 cap\n"
+
     def test_boundary_instance_importance_refuses_zero_tilt(self, run, workdir):
         # the tilt is the I-projection, which vanishes on the Q-supported
         # cell 010 where acceptance is possible, so IS would be biased

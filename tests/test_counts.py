@@ -82,9 +82,19 @@ SITES = [
      "successes must lie in [0, trials]"),
     ("run_trials", "trials", lambda t: run_trials(PROBLEM, None, SCHEME, 10, t, 0),
      10, 0, "trials must be >= 1"),
+    ("run_trials", "workers", lambda w: run_trials(PROBLEM, None, SCHEME, 10, 10, 0, workers=w),
+     1, 0, "workers must be >= 1"),
+    ("run_trials", "seed", lambda s: run_trials(PROBLEM, None, SCHEME, 10, 10, s),
+     0, -1, "seed must be >= 0"),
     ("importance_sample_beta", "trials",
      lambda t: importance_sample_beta(PROBLEM, None, SCHEME, 10, t, seed=0),
      10, 0, "trials must be >= 1"),
+    ("importance_sample_beta", "workers",
+     lambda w: importance_sample_beta(PROBLEM, None, SCHEME, 10, 10, seed=0, workers=w),
+     1, 0, "workers must be >= 1"),
+    ("importance_sample_beta", "seed",
+     lambda s: importance_sample_beta(PROBLEM, None, SCHEME, 10, 10, seed=s),
+     0, -1, "seed must be >= 0"),
     ("fit_exponent", "n", lambda n: fit_exponent([(n, 0.5), (20, 0.2), (30, 0.1)]),
      10, 0, "n must be >= 1"),
     ("min_kl_fixed_marginals", "max_iters",

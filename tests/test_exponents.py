@@ -14,12 +14,13 @@ from steinmac.errors import (
     OutOfRange,
 )
 from steinmac.channels import ChannelClass
+from steinmac import exponents
 from steinmac.exponents import (
     _FACE_SWEEPS,
     IProjectionResult,
     MarginalConstraintSet,
     _certifies_face,
-    _normalize_constraints,
+    _constraint_rows,
     _restrict_to_face,
     _sweep_plan,
     _unwrap_joint,
@@ -95,6 +96,103 @@ class TestConstraintSet:
         with pytest.raises(OutOfRange) as err:
             MarginalConstraintSet({axis: Pmf([0.5, 0.5])})
         assert err.value.field == "axis" and str(err.value) == text
+
+
+def hand_built_face_rows(p, steps):
+    """The face certificate's rows built without prob._incidence, one 0/1
+    row per constrained (axis, symbol) over the live cells of p: the
+    reference for prob._incidence's columns at those cells."""
+    cells = np.unravel_index(np.flatnonzero(p), p.shape)
+    return np.concatenate([
+        cells[axis][None, :] == np.arange(target.size)[:, None]
+        for axis, target, _, _ in steps
+    ]).astype(float)
+
+
+def hand_built_constraint_rows(shape, steps, qflat):
+    """The grid oracle's equality system built row by row without
+    prob._incidence: total mass, a row per constrained symbol, a pin per
+    unsupported cell."""
+    cells = int(np.prod(shape))
+    rows = [np.ones(cells)]
+    rhs = [1.0]
+    grids = np.indices(shape).reshape(len(shape), cells)
+    for axis, target, _, _ in steps:
+        for sym in range(shape[axis]):
+            rows.append((grids[axis] == sym).astype(float))
+            rhs.append(float(target[sym]))
+    for cell in np.flatnonzero(qflat == 0):
+        row = np.zeros(cells)
+        row[cell] = 1.0
+        rows.append(row)
+        rhs.append(0.0)
+    return np.array(rows), np.array(rhs)
+
+
+def sparse_joint(data, dims):
+    """A joint over dims with integer weights 0-3, so some cells are zero."""
+    size = int(np.prod(dims))
+    w = np.array(data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)),
+                 dtype=float)
+    w[0] += w.sum() == 0
+    return (w / w.sum()).reshape(dims)
+
+
+class TestOneConstraintLayout:
+    """The face certificate and the grid oracle read their cell-to-symbol
+    rows from prob._incidence, and their constraints from _sweep_plan."""
+
+    @staticmethod
+    def draw_case(data):
+        dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+        q, p = sparse_joint(data, dims), sparse_joint(data, dims)
+        axes = data.draw(st.permutations(range(len(dims))).flatmap(
+            lambda perm: st.integers(0, len(dims)).map(lambda k: perm[:k])))
+        # pairs keep the drawn order, which the rows follow
+        return q, p, [(axis, target) for axis, target in _marginals(p, axes).items()]
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_oracle_rows_match_the_hand_built_ones(self, data):
+        q, _, cons = self.draw_case(data)
+        steps = _sweep_plan(q, cons)
+        got = _constraint_rows(q, steps)
+        want = hand_built_constraint_rows(q.shape, steps, q.ravel())
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_face_rows_match_the_hand_built_ones(self, data):
+        q, p, cons = self.draw_case(data)
+        if not cons or np.count_nonzero(p) < 2:
+            return  # a face that holds every live cell is refused unread
+        steps = _sweep_plan(q, cons)
+        incidence, built = exponents._incidence, []
+
+        def recording(dims, axes):
+            built.append(incidence(dims, axes))
+            return built[-1]
+
+        face = np.zeros(p.shape, dtype=bool)
+        face.flat[int(np.flatnonzero(p)[0])] = True
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exponents, "_incidence", recording)
+            _certifies_face(p, p, steps, face)  # p as its own Q: every log-ratio 0
+        assert len(built) == 1
+        assert np.array_equal(built[0][:, np.flatnonzero(p)], hand_built_face_rows(p, steps))
+
+    @pytest.mark.parametrize("cons, text", [
+        ({2: Pmf([0.5, 0.5])}, "axis 2 out of range for 2-axis joint"),
+        ({1: Pmf([0.2, 0.3, 0.5])}, "target on axis 1 has size 3, joint axis has size 2"),
+    ])
+    def test_solver_and_oracle_refuse_alike(self, cons, text):
+        q = np.full((2, 2), 0.25)
+        for call in (lambda: min_kl_fixed_marginals(q, cons),
+                     lambda: brute_force_min_kl(q, cons, 0.5),
+                     lambda: _sweep_plan(q, cons)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == text
 
 
 class TestIProjection:
@@ -343,7 +441,7 @@ class TestBoundaryFace:
         # a loose tol stops IPF at an interior iterate, before any face search
         it = min_kl_fixed_marginals(q, cons, tol=1e-2)
         assert it.face == 3
-        steps = _sweep_plan(3, _normalize_constraints(q, cons))
+        steps = _sweep_plan(q, cons)
 
         def certifies(*cells):
             face = np.zeros(q.shape, dtype=bool)
@@ -364,7 +462,7 @@ class TestBoundaryFace:
         p, q = random_instance(rng)
         cons = _marginals(p, range(3))
         it = min_kl_fixed_marginals(q, cons, tol=1e-3)
-        steps = _sweep_plan(3, _normalize_constraints(q, cons))
+        steps = _sweep_plan(q, cons)
         order = np.argsort(-np.log(it.argmin / q), axis=None)
         face = np.zeros(q.shape, dtype=bool)
         for cell in order[:-1]:
@@ -408,10 +506,9 @@ def reference_ipf(q, constraints, tol=1e-10, max_iters=10**6):
     each update and again for each sweep's residual: the reference that
     min_kl_fixed_marginals must match bit for bit."""
     qa = _unwrap_joint(q)
-    cons = _normalize_constraints(qa, constraints)
-    if not cons:
+    steps = _sweep_plan(qa, constraints)
+    if not steps:
         return IProjectionResult(0.0, qa.copy(), 0, 0.0, int(np.count_nonzero(qa)))
-    steps = _sweep_plan(qa.ndim, cons)
     p = qa.copy()
     sweeps = 0
     face_check = _FACE_SWEEPS

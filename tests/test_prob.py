@@ -10,6 +10,7 @@ from steinmac.prob import (
     Joint3Pmf,
     Pmf,
     SequenceType,
+    _incidence,
     empirical_type,
     is_strongly_typical,
     kl_divergence,
@@ -175,6 +176,31 @@ class TestMarginal:
     def test_axis_out_of_range(self):
         with pytest.raises(ValueError):
             marginal(np.full((2, 2, 2), 0.125), 3)
+
+
+class TestIncidence:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_rows_give_the_stacked_marginals(self, data):
+        ndim = data.draw(st.integers(1, 3))
+        dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=ndim, max_size=ndim)))
+        axes = data.draw(st.permutations(range(ndim)).flatmap(
+            lambda perm: st.integers(0, ndim).map(lambda k: perm[:k])))
+        cells = math.prod(dims)
+        # whole counts, so every sum is exact whatever order it runs in
+        joint = np.array(data.draw(st.lists(
+            st.integers(0, 1000), min_size=cells, max_size=cells)), dtype=float).reshape(dims)
+        a = _incidence(dims, axes)
+        want = [joint.sum(axis=tuple(b for b in range(ndim) if b != ax)) for ax in axes]
+        assert a.shape == (sum(dims[ax] for ax in axes), cells)
+        assert np.array_equal(a @ joint.ravel(),
+                              np.concatenate([np.zeros(0), *want]))
+        assert set(np.unique(a)) <= {0.0, 1.0}
+        start = 0
+        for ax in axes:
+            block = a[start:start + dims[ax]]
+            assert np.array_equal(block.sum(axis=0), np.ones(cells))
+            start += dims[ax]
 
 
 class TestTypes:
