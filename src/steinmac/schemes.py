@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -29,6 +30,7 @@ from .channels import (
 from .errors import BlocklengthTooSmall, CostBudgetExceeded, MarkerMismatch
 from .exponents import IProjectionResult, min_kl_fixed_marginals
 from .prob import Joint3Pmf, Pmf, _as_count, is_strongly_typical, marginal, require_length
+from .prob import typical_bounds
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,9 @@ class Scheme:
 
     k is the signaling block length; the i-th sensor of cls.signalling uses
     slots [i k, (i + 1) k), so a lone signaller of either sensor uses [0, k).
-    Decision 0 accepts the null hypothesis.
+    Decision 0 accepts the null hypothesis. box (derived on every build or
+    replace, not a field) is (lo, hi, rows): the read symbols' typical count
+    intervals at n as read-only columns, and each read axis's slice of them.
     """
 
     cls: ChannelClass
@@ -71,6 +75,17 @@ class Scheme:
                     f"sensor {s} signals in a {self.cls.label} scheme and needs "
                     f"p_marker{s} in (0, 1], got {p!r}"
                 )
+        for s in self.cls.signalling:
+            if self.markers is None or self.markers.witness(s) is None:
+                raise MarkerMismatch(f"scheme needs a sensor-{s} witness")
+        axes = pinned_axes(self.cls)
+        lo, hi = zip(*(typical_bounds(self.ref(a), self.mu, self.n) for a in axes))
+        ends = [0, *accumulate(b.size for b in lo)]
+        rows = {a: slice(ends[i], ends[i + 1]) for i, a in enumerate(axes)}
+        box = [np.concatenate(b)[:, None] for b in (lo, hi)]
+        for b in box:
+            b.flags.writeable = False  # every read plan of this scheme shares them
+        object.__setattr__(self, "box", (*box, rows))
 
     @property
     def signals1(self) -> bool:

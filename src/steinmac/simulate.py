@@ -19,8 +19,8 @@ Three estimators with one reproducibility contract:
 
 All three read one plan per call (_read_plan): the incidence matrix from
 joint cells to the symbols the rule reads, which sums sampled counts and
-gives each DP move, and those symbols' count intervals (prob.typical_bounds,
-as Scheme.decide uses). A cell showing a symbol whose interval is [0, 0] is
+gives each DP move, and those symbols' count intervals (the scheme's box,
+Scheme.box). A cell showing a symbol whose interval is [0, 0] is
 rejected outright: the DP drops it, and only there may an importance tilt
 be zero on Q's support. All accept through Scheme.accept_weights, direct
 Monte-Carlo with the markers it drew.
@@ -50,7 +50,7 @@ from .errors import (
     ZeroTiltOnSupport,
 )
 from .exponents import min_kl_fixed_marginals
-from .prob import Joint3Pmf, _as_count, _charged_cells, _incidence, typical_bounds
+from .prob import Joint3Pmf, _as_count, _charged_cells, _incidence
 from .prob import quantile_map  # noqa: F401  (bench traces it by name)
 from .schemes import class_exponent  # noqa: F401  (bench traces it by name)
 from .schemes import (
@@ -215,27 +215,18 @@ def _read_plan(dims, scheme: Scheme) -> tuple:
     one plan of every estimator. incidence is prob._incidence over the
     axes the rule reads, the 0/1 matrix (read symbols, cells), or None in
     place of the identity: when the rule reads one axis and the joint has
-    no other, the cell counts are that axis's counts.
-    bounds is (lo, hi, rows): every read symbol's typical count interval,
-    stacked axis by axis as columns (read symbols, 1), and each read axis's
-    slice of those rows. Raises ValueError if a read axis's reference pmf
-    and the joint's axis differ in size."""
+    no other, the cell counts are that axis's counts. bounds is Scheme.box.
+    Raises ValueError if a read axis's reference pmf and the joint's axis
+    differ in size."""
     axes = pinned_axes(scheme.cls)
-    lo, hi, rows, start = [], [], {}, 0
     for a in axes:
         size = scheme.ref(a).alphabet_size
         if size != dims[a]:
             raise ValueError(
                 f"reference on axis {a} has size {size}, joint axis has size {dims[a]}")
-        a_lo, a_hi = typical_bounds(scheme.ref(a), scheme.mu, scheme.n)
-        lo.append(a_lo)
-        hi.append(a_hi)
-        rows[a] = slice(start, start + a_lo.size)
-        start += a_lo.size
-    bounds = np.concatenate(lo)[:, None], np.concatenate(hi)[:, None], rows
     if len(axes) == 1 and math.prod(dims) == dims[axes[0]]:
-        return None, bounds
-    return _incidence(dims, axes), bounds
+        return None, scheme.box
+    return _incidence(dims, axes), scheme.box
 
 
 def _rejected_cells(plan: tuple) -> np.ndarray:
@@ -355,20 +346,18 @@ def run_trials(
 
 def _lattice(scheme: Scheme) -> tuple:
     """(caps, free, order, shape, strides): the exact DP's count lattice,
-    from typical_bounds alone. caps holds every read symbol's greatest
-    typical count, in _read_plan's row order; free each read axis's
+    from the scheme's box alone. caps holds every read symbol's greatest
+    typical count, in the box's row order; free each read axis's
     likeliest reference symbol, whose count follows from n; order the
     symbols that get a dimension, by decreasing cap; shape and strides
     those dimensions', each with one overflow slot past its cap. Raises
     InstanceTooLarge, before anything is allocated, when the padded
     lattice holds more than _MAX_STATES states or n steps over it exceed
     _MAX_STEP_STATES."""
-    caps, free = [], []
-    for a in pinned_axes(scheme.cls):
-        ref = scheme.ref(a)
-        probs = ref.probs.tolist()  # faster than np.argmax on a few symbols
-        free.append(len(caps) + probs.index(max(probs)))
-        caps += typical_bounds(ref, scheme.mu, scheme.n)[1].tolist()
+    caps, free = scheme.box[1][:, 0].tolist(), []
+    for a, r in scheme.box[2].items():
+        probs = scheme.ref(a).probs.tolist()  # faster than np.argmax on a few symbols
+        free.append(r.start + probs.index(max(probs)))
     order = sorted((d for d, c in enumerate(caps) if c > 0 and d not in free),
                    key=lambda d: -caps[d])
     shape = [caps[d] + 2 for d in order]  # counts 0..cap, then overflow
@@ -412,7 +401,6 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     reduced = joint.probs.sum(axis=drop, keepdims=True) if drop else joint.probs
     n = scheme.n
     incidence, bounds = plan = _read_plan(reduced.shape, scheme)
-    rows = bounds[2]
     caps, free, order, shape, strides = _lattice(scheme)
     stride_of = np.zeros(len(caps))
     stride_of[order] = strides
@@ -459,7 +447,7 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     # has one state
     sums = np.zeros((len(caps), lat.size), dtype=np.int64)
     sums[order] = np.indices(lat.shape).reshape(len(order), lat.size)
-    for f, r in zip(free, rows.values()):
+    for f, r in zip(free, bounds[2].values()):
         sums[f] = n - sums[r].sum(axis=0)  # sums[f] is still 0
     flags = {a: flag.reshape(lat.shape) for a, flag in _typicality_flags(sums, bounds).items()}
     total = float(np.sum(lat * scheme.accept_weights(flags)))

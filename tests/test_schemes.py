@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinmac import schemes
 from steinmac.channels import (
@@ -30,7 +32,7 @@ from steinmac.errors import (
     OutOfRange,
 )
 from steinmac.exponents import local_stein_exponent
-from steinmac.prob import Pmf, kl_divergence, marginal
+from steinmac.prob import Pmf, empirical_type, kl_divergence, marginal, typical_bounds
 from steinmac.schemes import (
     RandomizedDecider,
     Scheme,
@@ -41,6 +43,7 @@ from steinmac.schemes import (
     class_projection,
     derandomize,
     gamma_schedule,
+    pinned_axes,
 )
 from steinmac.simulate import TestProblem, exact_error_probs
 
@@ -119,7 +122,8 @@ class TestSchemeFields:
     def test_silent_sensor_needs_no_marker_probability(self):
         half = Pmf([0.5, 0.5])
         Scheme(cls=ChannelClass.SPARSE_FULL, n=10, k=1, mu=0.2, ref_v=half,
-               ref_u1=half, p_marker1=1.0)
+               ref_u1=half, markers=hand_scheme(ChannelClass.SPARSE_FULL).markers,
+               p_marker1=1.0)
         Scheme(cls=ChannelClass.FULL, n=10, k=0, mu=0.2, ref_v=half)
 
 
@@ -194,6 +198,140 @@ class TestSchemeChecksK:
         assert moved.k == 3 and type(moved.k) is int
         full = Scheme(cls=ChannelClass.FULL, n=10, k=2, mu=0.2, ref_v=Pmf([0.5, 0.5]))
         assert full.k == 2
+
+
+class TestSchemeNeedsWitnesses:
+    """A signalling sensor's encoder and the decision read its witness, so
+    a Scheme without one is refused as build_marker_scheme refuses it,
+    after every other field check."""
+
+    def test_markerless_scheme_refused(self):
+        with pytest.raises(MarkerMismatch, match="^scheme needs a sensor-1 witness$"):
+            Scheme(cls=ChannelClass.SPARSE_FULL, n=10, k=1, mu=0.2, ref_v=[.5, .5],
+                   ref_u1=[.5, .5], p_marker1=0.5)
+
+    @pytest.mark.parametrize("cls, kept, sensor", [
+        (ChannelClass.SPARSE, (), 1),
+        (ChannelClass.SPARSE, (2,), 1),
+        (ChannelClass.SPARSE, (1,), 2),
+        (ChannelClass.FULL_SPARSE, (1,), 2),
+    ])
+    def test_each_signalling_sensor_needs_its_witness(self, cls, kept, sensor):
+        sparse = hand_scheme(ChannelClass.SPARSE)
+        markers = MarkerSet(*(sparse.markers.witness(s) if s in kept else None for s in (1, 2)))
+        with pytest.raises(MarkerMismatch, match=f"^scheme needs a sensor-{sensor} witness$"):
+            dataclasses.replace(sparse, cls=cls, markers=markers)
+
+    @pytest.mark.parametrize("cls", [c for c in ChannelClass if c.signalling],
+                             ids=lambda c: c.label)
+    def test_replace_without_markers_refused(self, cls):
+        with pytest.raises(MarkerMismatch, match="witness"):
+            dataclasses.replace(hand_scheme(cls), markers=None)
+
+    def test_field_errors_come_first(self):
+        half = Pmf([0.5, 0.5])
+        with pytest.raises(ValueError, match="p_marker1") as err:
+            Scheme(cls=ChannelClass.SPARSE_FULL, n=10, k=1, mu=0.2, ref_v=half, ref_u1=half)
+        assert type(err.value) is ValueError
+        with pytest.raises(ValueError, match="needs ref_u1") as err:
+            Scheme(cls=ChannelClass.SPARSE_FULL, n=10, k=1, mu=0.2, ref_v=half, p_marker1=0.5)
+        assert type(err.value) is ValueError
+
+
+def draw_ref(data, size):
+    """A pmf on `size` symbols, some of them of probability zero."""
+    w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+                                    min_size=size, max_size=size)))
+    if w.sum() == 0:
+        w[data.draw(st.integers(0, size - 1))] = 1.0
+    return Pmf(w / w.sum())
+
+
+def random_scheme(data, n_max=200):
+    """A Scheme of a drawn class with the witness symbols of hand_scheme, every
+    reference drawn on 1-4 symbols, and a drawn window and blocklength."""
+    refs = {f: draw_ref(data, data.draw(st.integers(1, 4)))
+            for f in ("ref_u1", "ref_u2", "ref_v")}
+    return Scheme(
+        cls=data.draw(st.sampled_from(list(ChannelClass))),
+        n=data.draw(st.integers(4, n_max)), k=2,
+        mu=data.draw(st.floats(0.001, 0.999)),
+        markers=hand_scheme(ChannelClass.SPARSE).markers,
+        p_marker1=0.6, p_marker2=0.3, **refs,
+    )
+
+
+def stacked_bounds(scheme):
+    """Each read axis's typical_bounds at the scheme's n, stacked in
+    pinned_axes order, and each axis's row slice."""
+    lo, hi, rows, start = [], [], {}, 0
+    for a in pinned_axes(scheme.cls):
+        a_lo, a_hi = typical_bounds(scheme.ref(a), scheme.mu, scheme.n)
+        lo.append(a_lo)
+        hi.append(a_hi)
+        rows[a] = slice(start, start + a_lo.size)
+        start += a_lo.size
+    return np.concatenate(lo)[:, None], np.concatenate(hi)[:, None], rows
+
+
+class TestSchemeBox:
+    """Scheme.box is every read symbol's typical count interval, computed
+    once per Scheme and again by each dataclasses.replace."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_box_is_the_stacked_typical_bounds(self, data):
+        scheme = random_scheme(data)
+        moved = dataclasses.replace(scheme, n=data.draw(st.integers(1, 400)))
+        for s in (scheme, moved):
+            (lo, hi, rows), (want_lo, want_hi, want_rows) = s.box, stacked_bounds(s)
+            assert lo.dtype == hi.dtype == np.int64
+            assert not (lo.flags.writeable or hi.flags.writeable)  # shared by every plan
+            np.testing.assert_array_equal(lo, want_lo)
+            np.testing.assert_array_equal(hi, want_hi)
+            assert list(rows.items()) == list(want_rows.items())
+            assert all(type(r.start) is int for r in rows.values())
+
+    def test_box_is_not_a_field(self):
+        s = hand_scheme(ChannelClass.SPARSE)
+        assert "box" not in {f.name for f in dataclasses.fields(Scheme)}
+        assert "box" not in repr(s)
+        assert s == dataclasses.replace(s, n=s.n)
+        with pytest.raises(TypeError):
+            Scheme(cls=ChannelClass.FULL, n=10, k=0, mu=0.2, ref_v=[.5, .5], box=s.box)
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_verdicts_agree_with_the_box(self, data):
+        # the encoders and the decision stay on is_strongly_typical; each
+        # verdict must be the box's verdict on the same counts
+        scheme = random_scheme(data, n_max=60)
+        lo, hi, rows = scheme.box
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def draw(axis):
+            # from the reference (often typical) or uniform (often not)
+            size = scheme.ref(axis).alphabet_size
+            p = scheme.ref(axis).probs if data.draw(st.booleans()) else None
+            return rng.choice(size, size=scheme.n, p=p)
+
+        def in_box(axis, seq):
+            counts = empirical_type(seq, scheme.ref(axis).alphabet_size).counts
+            r = rows[axis]
+            return bool(np.all((lo[r, 0] <= counts) & (counts <= hi[r, 0])))
+
+        w = scheme.markers
+        for sensor in scheme.cls.signalling:
+            u = draw(sensor - 1)
+            x = (scheme.encode1 if sensor == 1 else scheme.encode2)(u)
+            block = x[scheme._block(sensor)]
+            sent = w.witness(sensor)
+            assert (block == (sent.on_input if in_box(sensor - 1, u) else sent.off_input)).all()
+        y = np.zeros(scheme.n, dtype=np.int64)
+        for sensor in scheme.cls.signalling:
+            y[scheme._block(sensor)] = w.witness(sensor).marker_output
+        v = draw(2)
+        assert scheme.decide(y, v) == (0 if in_box(2, v) else 1)
 
 
 class TestEncoders:
@@ -573,23 +711,46 @@ class TestOneBuilder:
             assert_same_scheme(got, build_local_scheme(marginal(p, 2), mu, n))
 
     def test_only_the_builders_call_scheme(self):
-        callers = set()
-        for path in Path(schemes.__file__).parent.glob("*.py"):
-            _scheme_callers(ast.parse(path.read_text()), path.name, None, callers)
-        assert callers == {("schemes.py", "build_local_scheme"),
-                           ("schemes.py", "build_marker_scheme")}
+        assert _callers("Scheme") == {("schemes.py", "build_local_scheme"),
+                                      ("schemes.py", "build_marker_scheme")}
 
 
-def _scheme_callers(node, module, func, out):
-    """Add (module, enclosing function) for every Scheme(...) call under node."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        func = node.name
+class TestOneBox:
+    """The typical count intervals are derived in two places: a Scheme's box,
+    which every estimator reads, and is_strongly_typical, which checks one
+    sequence for the encoders and the decision."""
+
+    def test_only_the_box_and_the_sequence_test_call_typical_bounds(self):
+        assert _callers("typical_bounds") == {("schemes.py", "Scheme.__post_init__"),
+                                              ("prob.py", "is_strongly_typical")}
+
+    def test_simulate_does_not_import_typical_bounds(self):
+        tree = ast.parse(Path(schemes.__file__).with_name("simulate.py").read_text())
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert "typical_bounds" not in names
+
+
+def _callers(name):
+    """(module, enclosing class.function) of every name(...) call in the
+    package's sources."""
+    out = set()
+    for path in Path(schemes.__file__).parent.glob("*.py"):
+        _add_callers(ast.parse(path.read_text()), name, path.name, None, out)
+    return out
+
+
+def _add_callers(node, name, module, scope, out):
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name if scope is None else f"{scope}.{node.name}"
     if isinstance(node, ast.Call):
         f = node.func
-        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "Scheme":
-            out.add((module, func))
+        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+            out.add((module, scope))
     for child in ast.iter_child_nodes(node):
-        _scheme_callers(child, module, func, out)
+        _add_callers(child, name, module, scope, out)
 
 
 class TestMirroredChannel:

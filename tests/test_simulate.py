@@ -17,13 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinmac import schemes, simulate
+from steinmac import prob, schemes, simulate
 from steinmac.channels import (
     BudgetLaw,
     ChannelClass,
     CostModel,
     Dmmac,
     GgMac,
+    MarkerSet,
+    ToggleWitness,
     classify,
     find_markers,
 )
@@ -74,6 +76,10 @@ Q_JOINT = np.array(
 )
 ALPHA_N8 = 0.8686963871738652
 BETA_N8 = 0.13403004969375013
+
+# a witness for each sensor, so a hand-built Scheme of any class has the
+# ones it needs; the tests that build one never encode or decide with it
+MARKERS = MarkerSet(ToggleWitness(1, 0, 0, 0), ToggleWitness(1, 0, 0, 0))
 
 
 def sparse_channel():
@@ -288,7 +294,7 @@ class TestReadPlanIncidence:
         refs = [Pmf(draw_pmf(data, d)) for d in dims]
         scheme = Scheme(cls=cls, n=data.draw(st.integers(1, 50)), k=1, mu=0.2,
                         ref_u1=refs[0], ref_u2=refs[1], ref_v=refs[2],
-                        p_marker1=0.5, p_marker2=0.5)
+                        markers=MARKERS, p_marker1=0.5, p_marker2=0.5)
         # the joint itself, and the exact DP's joint with unread axes summed out
         for shape in (dims, tuple(d if a in axes else 1 for a, d in enumerate(dims))):
             got, want = _read_plan(shape, scheme)[0], hand_built_read_incidence(shape, axes)
@@ -461,7 +467,7 @@ class TestExactDpProperty:
             n=data.draw(st.integers(1, 7)),
             k=data.draw(st.integers(1, 3)),
             mu=data.draw(st.floats(0.05, 0.6)),
-            ref_v=ref_v, ref_u1=ref_u1, ref_u2=ref_u2,
+            ref_v=ref_v, ref_u1=ref_u1, ref_u2=ref_u2, markers=MARKERS,
             p_marker1=data.draw(st.floats(0.05, 1.0)),
             p_marker2=data.draw(st.floats(0.05, 1.0)),
         )
@@ -543,7 +549,7 @@ class TestExactDpBitIdentical:
             n=data.draw(st.integers(1, 40)),
             k=data.draw(st.integers(1, 5)),
             mu=data.draw(st.floats(0.02, 0.6)),
-            ref_v=ref_v, ref_u1=ref_u1, ref_u2=ref_u2,
+            ref_v=ref_v, ref_u1=ref_u1, ref_u2=ref_u2, markers=MARKERS,
             p_marker1=data.draw(st.floats(0.05, 1.0)),
             p_marker2=data.draw(st.floats(0.05, 1.0)),
         )
@@ -563,9 +569,37 @@ class TestExactDpBitIdentical:
             joint = Joint3Pmf(rng.dirichlet(np.ones(math.prod(dims))).reshape(dims))
             for n in (1, 7, 30):
                 scheme = Scheme(cls=cls, n=n, k=2, mu=0.2, ref_u1=refs[0], ref_u2=refs[1],
-                                ref_v=refs[2], p_marker1=0.6, p_marker2=0.3)
+                                ref_v=refs[2], markers=MARKERS, p_marker1=0.6,
+                                p_marker2=0.3)
                 got = _exact_accept_prob(joint, scheme)
                 assert got == flat_lattice_accept_prob(joint, scheme), (axis, n)
+
+
+class TestOneBoxPerRung:
+    """Each rung's scheme derives its typical count intervals once, as its
+    box, and the read plan, the DP's lattice and the ladder's sizing read
+    that box: one typical_bounds call per read axis and rung."""
+
+    @pytest.mark.parametrize("estimator, ladder, calls", [
+        ("exact", (8, 12, 16, 20), 12), ("importance", (8, 12, 16), 9),
+        ("direct", (8, 12, 16), 9),
+    ])
+    def test_typical_bounds_once_per_axis_and_rung(self, monkeypatch, estimator, ladder,
+                                                   calls):
+        problem, ch, cm, _ = sparse_fixture()
+        config = SimConfig(n_ladder=ladder, trials=64, master_seed=8, mu=0.2,
+                           cost_model=cm, estimator=estimator)
+        seen, real = [], prob.typical_bounds
+
+        def counted(p, mu, n):
+            seen.append(n)
+            return real(p, mu, n)
+
+        monkeypatch.setattr(prob, "typical_bounds", counted)
+        monkeypatch.setattr(schemes, "typical_bounds", counted)
+        run_ladder(problem, ch, ChannelClass.SPARSE, config)
+        # criterion 08's sparse scheme reads u1, u2 and v at every rung
+        assert len(seen) == calls and sorted(seen) == sorted(3 * ladder)
 
 
 def binary_flag_prob(q1, ref, mu, n):
@@ -914,6 +948,7 @@ class TestBlockKernelProperty:
             ref_u1=Pmf(draw_pmf(data, dims[0])),
             ref_u2=Pmf(draw_pmf(data, dims[1])),
             ref_v=Pmf(draw_pmf(data, dims[2])),
+            markers=MARKERS,
             p_marker1=0.5,
             p_marker2=0.5,
         )
