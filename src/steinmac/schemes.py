@@ -29,7 +29,7 @@ from .channels import (
 )
 from .errors import BlocklengthTooSmall, CostBudgetExceeded, MarkerMismatch
 from .exponents import IProjectionResult, min_kl_fixed_marginals
-from .prob import Joint3Pmf, Pmf, _as_count, is_strongly_typical, marginal, require_length
+from .prob import Joint3Pmf, Pmf, _as_count, empirical_type, marginal, require_length
 from .prob import typical_bounds
 
 
@@ -100,6 +100,19 @@ class Scheme:
         observation of a sensor that does not signal."""
         return (self.ref_u1, self.ref_u2, self.ref_v)[axis]
 
+    def typical(self, axis: int, counts) -> np.ndarray:
+        """Typicality flag of read axis `axis` (0: u1, 1: u2, 2: v) for each
+        column of `counts`, a (that axis's symbols, columns) array: every
+        count inside its interval of the box. The one comparison of counts
+        with the box; raises KeyError for an axis the rule does not read."""
+        lo, hi, rows = self.box
+        r = rows[axis]
+        return ((counts >= lo[r]) & (counts <= hi[r])).all(axis=0)
+
+    def _typical_sequence(self, axis: int, seq) -> bool:
+        counts = empirical_type(seq, self.ref(axis).alphabet_size).counts
+        return bool(self.typical(axis, counts[:, None])[0])
+
     def _block(self, sensor: int) -> slice:
         start = self.k * self.cls.signalling.index(sensor)
         return slice(start, start + self.k)
@@ -111,7 +124,7 @@ class Scheme:
             w = self.markers.witness(s)
             if s != sensor:
                 x[self._block(s)] = w.partner_pilot
-            elif is_strongly_typical(u, self.ref(s - 1), self.mu):
+            elif self._typical_sequence(s - 1, u):
                 x[self._block(s)] = w.on_input
             else:
                 x[self._block(s)] = w.off_input
@@ -127,10 +140,12 @@ class Scheme:
         """0 accepts the null, 1 rejects."""
         y = require_length(y_seq, self.n, "channel output")
         v = require_length(v_seq, self.n, "side observation")
+        if not self._typical_sequence(2, v):  # first, so a bad v raises whatever y shows
+            return 1
         for s in self.cls.signalling:
             if not np.any(y[self._block(s)] == self.markers.witness(s).marker_output):
                 return 1
-        return 0 if is_strongly_typical(v, self.ref_v, self.mu) else 1
+        return 0
 
     def accept_weights(self, flags: dict, hits=None) -> np.ndarray:
         """P(decide 0) given the typicality flags of the axes the rule
@@ -142,13 +157,13 @@ class Scheme:
         `hits` holds, for each signalling sensor in slot order, the chance
         that its on-block shows the marker: by default 1 - (1 - p)^k, the
         complement of missing it in all k slots; a sampler passes the 0/1
-        outcomes it drew.
+        outcomes it drew. `hits` of another length raises ValueError.
         """
         if hits is None:
             p = {1: self.p_marker1, 2: self.p_marker2}
             hits = [1.0 - (1.0 - p[s]) ** self.k for s in self.cls.signalling]
         acc = np.where(flags[2], 1.0, 0.0)
-        for s, hit in zip(self.cls.signalling, hits):
+        for s, hit in zip(self.cls.signalling, hits, strict=True):
             acc = acc * np.where(flags[s - 1], hit, 0.0)
         return acc
 

@@ -19,11 +19,12 @@ Three estimators with one reproducibility contract:
 
 All three read one plan per call (_read_plan): the incidence matrix from
 joint cells to the symbols the rule reads, which sums sampled counts and
-gives each DP move, and those symbols' count intervals (the scheme's box,
-Scheme.box). A cell showing a symbol whose interval is [0, 0] is
-rejected outright: the DP drops it, and only there may an importance tilt
-be zero on Q's support. All accept through Scheme.accept_weights, direct
-Monte-Carlo with the markers it drew.
+gives each DP move. Those symbols' counts become typicality flags through
+Scheme.typical, against the scheme's box (Scheme.box). A cell showing a
+symbol whose interval is [0, 0] is rejected outright: the DP drops it,
+and only there may an importance tilt be zero on Q's support. All accept
+through Scheme.accept_weights, direct Monte-Carlo with the markers it
+drew.
 
 All randomness is derived from (seed, block index), never from thread
 scheduling, and block results are reduced in block order, so reports are
@@ -210,14 +211,13 @@ def _map_blocks(trials: int, seed, workers: int, block_fn) -> list:
     return [block_fn(s, c) for s, c in zip(seeds, counts)]
 
 
-def _read_plan(dims, scheme: Scheme) -> tuple:
-    """(incidence, bounds): what the rule reads of a joint over `dims`, the
-    one plan of every estimator. incidence is prob._incidence over the
-    axes the rule reads, the 0/1 matrix (read symbols, cells), or None in
-    place of the identity: when the rule reads one axis and the joint has
-    no other, the cell counts are that axis's counts. bounds is Scheme.box.
-    Raises ValueError if a read axis's reference pmf and the joint's axis
-    differ in size."""
+def _read_plan(dims, scheme: Scheme) -> np.ndarray | None:
+    """What the rule reads of a joint over `dims`, the one plan of every
+    estimator: prob._incidence over the axes the rule reads, the 0/1
+    matrix (read symbols, cells), or None in place of the identity: when
+    the rule reads one axis and the joint has no other, the cell counts
+    are that axis's counts. Raises ValueError if a read axis's reference
+    pmf and the joint's axis differ in size."""
     axes = pinned_axes(scheme.cls)
     for a in axes:
         size = scheme.ref(a).alphabet_size
@@ -225,35 +225,32 @@ def _read_plan(dims, scheme: Scheme) -> tuple:
             raise ValueError(
                 f"reference on axis {a} has size {size}, joint axis has size {dims[a]}")
     if len(axes) == 1 and math.prod(dims) == dims[axes[0]]:
-        return None, scheme.box
-    return _incidence(dims, axes), scheme.box
+        return None
+    return _incidence(dims, axes)
 
 
-def _rejected_cells(plan: tuple) -> np.ndarray:
+def _rejected_cells(incidence, scheme: Scheme) -> np.ndarray:
     """Per cell, whether every sequence that shows it is rejected: the cell
-    shows a read symbol whose interval holds no count above 0, [0, 0] (as
-    a symbol of reference probability zero gets) or an empty one."""
-    incidence, (_, hi, _) = plan
-    dead = hi[:, 0] <= 0
+    shows a read symbol whose interval in the scheme's box holds no count
+    above 0, [0, 0] (as a symbol of reference probability zero gets) or
+    an empty one. `incidence` is _read_plan's."""
+    dead = scheme.box[1][:, 0] <= 0
     return dead if incidence is None else dead @ incidence > 0
 
 
-def _typicality_flags(sums: np.ndarray, bounds: tuple) -> dict:
-    """Typicality flag of every read axis, per column of sums (read
-    symbols, trials): every symbol count of the axis inside its interval.
-    `bounds` is _read_plan's."""
-    lo, hi, rows = bounds
-    inside = (sums >= lo) & (sums <= hi)
-    return {axis: inside[r].all(axis=0) for axis, r in rows.items()}
+def _typicality_flags(sums: np.ndarray, scheme: Scheme) -> dict:
+    """Scheme.typical of every read axis, per column of sums (read
+    symbols, trials)."""
+    return {a: scheme.typical(a, sums[r]) for a, r in scheme.box[2].items()}
 
 
-def _read_flags(counts: np.ndarray, plan: tuple) -> dict:
-    """Typicality flag of every axis the rule reads, per row of counts."""
-    incidence, bounds = plan
+def _read_flags(counts: np.ndarray, incidence, scheme: Scheme) -> dict:
+    """Typicality flag of every axis the rule reads, per row of counts;
+    `incidence` is _read_plan's."""
     # symbols by trials, so each comparison runs along a contiguous row of
     # trials; exact in floats: every symbol count is an integer <= n < 2**53
     sums = np.ascontiguousarray(counts.T) if incidence is None else incidence @ counts.T
-    return _typicality_flags(sums, bounds)
+    return _typicality_flags(sums, scheme)
 
 
 def _marker_shown(row: np.ndarray, marker: int, u: np.ndarray) -> np.ndarray:
@@ -278,7 +275,7 @@ def _marker_shown(row: np.ndarray, marker: int, u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(inside.T).any(axis=0)
 
 
-def _direct_block(problem, channel, scheme, plan, seed_seq, count, sides):
+def _direct_block(problem, channel, scheme, incidence, seed_seq, count, sides):
     rng = np.random.default_rng(seed_seq)
     # marker presence is decided before branching on the hypothesis, and
     # each hypothesis's counts are drawn from the same generator state, so
@@ -297,7 +294,7 @@ def _direct_block(problem, channel, scheme, plan, seed_seq, count, sides):
             if start is not None:
                 rng.bit_generator.state = start
             counts = rng.multinomial(scheme.n, joint.probs.ravel(), size=count)
-            flags = _read_flags(counts, plan)  # the drawn markers are the hits
+            flags = _read_flags(counts, incidence, scheme)  # the drawn markers are the hits
             accepted[side] = int(np.count_nonzero(scheme.accept_weights(flags, shown)))
     return count - accepted.get("null", count), accepted.get("alt", 0)
 
@@ -329,9 +326,9 @@ def run_trials(
         raise ValueError(f"sides must be a nonempty subset of ('null','alt')")
     if scheme.cls.signalling and not isinstance(channel, Dmmac):
         raise TypeError("marker schemes need a discrete channel kernel")
-    plan = _read_plan(problem.p.dims, scheme)
+    incidence = _read_plan(problem.p.dims, scheme)
     results = _map_blocks(trials, seed, workers, lambda seed_seq, count: _direct_block(
-        problem, channel, scheme, plan, seed_seq, count, sides
+        problem, channel, scheme, incidence, seed_seq, count, sides
     ))
     rejects, accepts = map(sum, zip(*results))
     a_hat = rejects / trials if "null" in sides else math.nan
@@ -400,7 +397,7 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     drop = tuple(a for a in range(3) if a not in axes)
     reduced = joint.probs.sum(axis=drop, keepdims=True) if drop else joint.probs
     n = scheme.n
-    incidence, bounds = plan = _read_plan(reduced.shape, scheme)
+    incidence = _read_plan(reduced.shape, scheme)
     caps, free, order, shape, strides = _lattice(scheme)
     stride_of = np.zeros(len(caps))
     stride_of[order] = strides
@@ -409,7 +406,7 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     states = size + pad
 
     probs = reduced.ravel()
-    live = (probs > 0) & ~_rejected_cells(plan)
+    live = (probs > 0) & ~_rejected_cells(incidence, scheme)
     # (cell probability, flat offset of the cell's move), in cell order
     offsets = stride_of if incidence is None else stride_of @ incidence
     moves = list(zip(probs[live].tolist(), offsets[live].astype(int).tolist()))
@@ -447,9 +444,9 @@ def _exact_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     # has one state
     sums = np.zeros((len(caps), lat.size), dtype=np.int64)
     sums[order] = np.indices(lat.shape).reshape(len(order), lat.size)
-    for f, r in zip(free, bounds[2].values()):
+    for f, r in zip(free, scheme.box[2].values()):
         sums[f] = n - sums[r].sum(axis=0)  # sums[f] is still 0
-    flags = {a: flag.reshape(lat.shape) for a, flag in _typicality_flags(sums, bounds).items()}
+    flags = {a: flag.reshape(lat.shape) for a, flag in _typicality_flags(sums, scheme).items()}
     total = float(np.sum(lat * scheme.accept_weights(flags)))
     return math.ldexp(total, exp2)
 
@@ -488,16 +485,16 @@ def _as_tilt(argmin: np.ndarray) -> Joint3Pmf:
     return Joint3Pmf(argmin / argmin.sum())
 
 
-def _check_tilt(problem: TestProblem, tilt: Joint3Pmf, plan: tuple) -> None:
+def _check_tilt(problem: TestProblem, tilt: Joint3Pmf, incidence, scheme: Scheme) -> None:
     """A tilt may place zero mass on a Q-supported cell only if every
     sequence that shows the cell is rejected outright: the cells the exact
     DP drops, which show a read symbol whose typical interval is [0, 0].
-    `plan` is the scheme's _read_plan over the problem's dims."""
+    `incidence` is the scheme's _read_plan over the problem's dims."""
     qa = problem.q.probs
     ta = tilt.probs
     if ta.shape != qa.shape:
         raise ValueError(f"tilt dims {ta.shape} do not match problem dims {qa.shape}")
-    live = (ta == 0) & (qa > 0) & ~_rejected_cells(plan).reshape(qa.shape)
+    live = (ta == 0) & (qa > 0) & ~_rejected_cells(incidence, scheme).reshape(qa.shape)
     if live.any():
         cell = tuple(int(i) for i in np.argwhere(live)[0])
         raise ZeroTiltOnSupport(
@@ -506,14 +503,14 @@ def _check_tilt(problem: TestProblem, tilt: Joint3Pmf, plan: tuple) -> None:
         )
 
 
-def _is_block(scheme, plan, tilt_flat, log_ratio, outside, seed_seq, count):
+def _is_block(scheme, incidence, tilt_flat, log_ratio, outside, seed_seq, count):
     """Returns (hi, s1, s2): the largest log contribution, and the sums of
     the contributions and of their squares scaled by exp(-hi), exp(-2 hi).
     A trial that samples a cell of `outside` (tilted, outside Q's support)
     has weight zero."""
     rng = np.random.default_rng(seed_seq)
     counts = rng.multinomial(scheme.n, tilt_flat, size=count)
-    acc = scheme.accept_weights(_read_flags(counts, plan))
+    acc = scheme.accept_weights(_read_flags(counts, incidence, scheme))
 
     with np.errstate(divide="ignore"):
         contrib = counts @ log_ratio + np.log(acc)
@@ -552,8 +549,8 @@ def importance_sample_beta(
     if seed is None:
         raise ValueError("seed is required for a reproducible estimate")
     tilt = default_tilt(problem, scheme) if tilt is None else Joint3Pmf.of(tilt)
-    plan = _read_plan(problem.q.dims, scheme)
-    _check_tilt(problem, tilt, plan)
+    incidence = _read_plan(problem.q.dims, scheme)
+    _check_tilt(problem, tilt, incidence, scheme)
 
     tilt_flat = tilt.probs.ravel()
     q_flat = problem.q.probs.ravel()
@@ -567,7 +564,7 @@ def importance_sample_beta(
     log_ratio[outside] = 0.0
 
     results = _map_blocks(trials, seed, workers, lambda seed_seq, count: _is_block(
-        scheme, plan, tilt_flat, log_ratio, outside, seed_seq, count
+        scheme, incidence, tilt_flat, log_ratio, outside, seed_seq, count
     ))
     live = [r for r in results if r[1] > 0]  # block order, not completion order
     lse = -np.inf

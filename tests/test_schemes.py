@@ -29,10 +29,18 @@ from steinmac.errors import (
     CostBudgetExceeded,
     LengthMismatch,
     MarkerMismatch,
+    OutOfAlphabet,
     OutOfRange,
 )
 from steinmac.exponents import local_stein_exponent
-from steinmac.prob import Pmf, empirical_type, kl_divergence, marginal, typical_bounds
+from steinmac.prob import (
+    Pmf,
+    empirical_type,
+    is_strongly_typical,
+    kl_divergence,
+    marginal,
+    typical_bounds,
+)
 from steinmac.schemes import (
     RandomizedDecider,
     Scheme,
@@ -303,8 +311,8 @@ class TestSchemeBox:
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
     def test_verdicts_agree_with_the_box(self, data):
-        # the encoders and the decision stay on is_strongly_typical; each
-        # verdict must be the box's verdict on the same counts
+        # the encoders and the decision read Scheme.typical; each verdict
+        # must be the box's verdict on the same counts, compared here by hand
         scheme = random_scheme(data, n_max=60)
         lo, hi, rows = scheme.box
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -332,6 +340,29 @@ class TestSchemeBox:
             y[scheme._block(sensor)] = w.witness(sensor).marker_output
         v = draw(2)
         assert scheme.decide(y, v) == (0 if in_box(2, v) else 1)
+
+    @pytest.mark.parametrize("cls", list(ChannelClass), ids=lambda c: c.label)
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_typical_matches_is_strongly_typical(self, cls, data):
+        # is_strongly_typical derives its intervals itself, so it is the
+        # reference for the box's test, at the built n and after a move
+        scheme = dataclasses.replace(random_scheme(data), cls=cls)
+        moved = dataclasses.replace(scheme, n=data.draw(st.integers(1, 400)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for s in (scheme, moved):
+            for a in pinned_axes(cls):
+                ref = s.ref(a)
+                seqs = [rng.choice(ref.alphabet_size, size=s.n,
+                                   p=ref.probs if data.draw(st.booleans()) else None)
+                        for _ in range(4)]
+                counts = [empirical_type(seq, ref.alphabet_size).counts for seq in seqs]
+                want = [is_strongly_typical(seq, ref, s.mu) for seq in seqs]
+                for c, w in zip(counts, want):
+                    got = s.typical(a, c[:, None])
+                    assert got.shape == (1,) and got[0] == w
+                # columns of one batch, as the estimators pass them
+                np.testing.assert_array_equal(s.typical(a, np.stack(counts, axis=1)), want)
 
 
 class TestEncoders:
@@ -424,6 +455,17 @@ class TestDecision:
         with pytest.raises(LengthMismatch):
             s.decide(np.zeros(9, dtype=int), TYPICAL)
 
+    @pytest.mark.parametrize("bad", [7, -1, 0.5])
+    def test_side_observation_checked_whatever_the_markers_show(self, bad):
+        # v is read before the markers, so a v outside the alphabet raises
+        # whether sensor 1's block misses the marker or shows it
+        s = hand_scheme(ChannelClass.SPARSE_FULL)
+        for shown in (False, True):
+            y = np.zeros(10, dtype=int)
+            y[0] = 7 if shown else 0
+            with pytest.raises(OutOfAlphabet):
+                s.decide(y, np.full(10, bad))
+
 
 class TestAcceptProbGivenFlags:
     def test_sparse_products(self):
@@ -464,6 +506,20 @@ class TestAcceptProbGivenFlags:
         want = cols[2] & np.all([cols[sensor - 1] & hit
                                  for sensor, hit in zip(cls.signalling, cols[3:])], axis=0)
         np.testing.assert_array_equal(batch, want.astype(float))
+
+
+    @pytest.mark.parametrize("cls, hits", [
+        (ChannelClass.SPARSE, [1.0]),
+        (ChannelClass.SPARSE, [1.0, 1.0, 1.0]),
+        (ChannelClass.FULL, [0.0]),
+    ], ids=["sparse-short", "sparse-long", "full-long"])
+    def test_hits_of_another_length_refused(self, cls, hits):
+        # one hit per signalling sensor: a dropped or extra hit is an error,
+        # not a term left out of the product
+        s = (hand_scheme(cls) if cls.signalling
+             else build_local_scheme(Pmf([0.5, 0.5]), 0.2, 10))
+        with pytest.raises(ValueError):
+            s.accept_weights({0: True, 1: True, 2: True}, hits)
 
 
 class TestBuilders:
@@ -717,12 +773,25 @@ class TestOneBuilder:
 
 class TestOneBox:
     """The typical count intervals are derived in two places: a Scheme's box,
-    which every estimator reads, and is_strongly_typical, which checks one
-    sequence for the encoders and the decision."""
+    which every estimator, both encoders and the decision read through
+    Scheme.typical, and is_strongly_typical, the public reference that
+    derives them again for one sequence and that the package never calls."""
 
     def test_only_the_box_and_the_sequence_test_call_typical_bounds(self):
         assert _callers("typical_bounds") == {("schemes.py", "Scheme.__post_init__"),
                                               ("prob.py", "is_strongly_typical")}
+
+    def test_package_does_not_call_is_strongly_typical(self):
+        assert _callers("is_strongly_typical") == set()
+
+    def test_read_plan_returns_the_incidence_alone(self):
+        # an ndarray or None, never a tuple that carries the box along
+        tree = ast.parse(Path(schemes.__file__).with_name("simulate.py").read_text())
+        fn, = (node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_read_plan")
+        assert ast.unparse(fn.returns) == "np.ndarray | None"
+        returns = [node.value for node in ast.walk(fn) if isinstance(node, ast.Return)]
+        assert returns and not any(isinstance(v, ast.Tuple) for v in returns)
 
     def test_simulate_does_not_import_typical_bounds(self):
         tree = ast.parse(Path(schemes.__file__).with_name("simulate.py").read_text())

@@ -297,7 +297,7 @@ class TestReadPlanIncidence:
                         markers=MARKERS, p_marker1=0.5, p_marker2=0.5)
         # the joint itself, and the exact DP's joint with unread axes summed out
         for shape in (dims, tuple(d if a in axes else 1 for a, d in enumerate(dims))):
-            got, want = _read_plan(shape, scheme)[0], hand_built_read_incidence(shape, axes)
+            got, want = _read_plan(shape, scheme), hand_built_read_incidence(shape, axes)
             assert (got is None) == (want is None)
             assert got is None or np.array_equal(got, want)
 
@@ -483,8 +483,8 @@ def flat_lattice_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     drop = tuple(a for a in range(3) if a not in axes)
     reduced = joint.probs.sum(axis=drop, keepdims=True) if drop else joint.probs
     n = scheme.n
-    incidence, bounds = plan = _read_plan(reduced.shape, scheme)
-    caps, rows = bounds[1][:, 0].tolist(), bounds[2]
+    incidence = _read_plan(reduced.shape, scheme)
+    caps, rows = scheme.box[1][:, 0].tolist(), scheme.box[2]
     free = [r.start + int(np.argmax(scheme.ref(a).probs)) for a, r in rows.items()]
     order = sorted((d for d, c in enumerate(caps) if c > 0 and d not in free),
                    key=lambda d: -caps[d])
@@ -496,7 +496,7 @@ def flat_lattice_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
     pad = sum(strides)
     states = size + pad
     probs = reduced.ravel()
-    live = (probs > 0) & ~simulate._rejected_cells(plan)
+    live = (probs > 0) & ~simulate._rejected_cells(incidence, scheme)
     offsets = stride_of if incidence is None else stride_of @ incidence
     moves = list(zip(probs[live].tolist(), offsets[live].astype(int).tolist()))
     box = tuple(slice(0, -1) for _ in shape)
@@ -532,7 +532,7 @@ def flat_lattice_accept_prob(joint: Joint3Pmf, scheme: Scheme) -> float:
         sums[f] = n - sum(sums[r])
     sums = np.stack(np.broadcast_arrays(*sums)).reshape(len(sums), -1)
     flags = {a: flag.reshape(lat.shape)
-             for a, flag in simulate._typicality_flags(sums, bounds).items()}
+             for a, flag in simulate._typicality_flags(sums, scheme).items()}
     total = float(np.sum(lat * scheme.accept_weights(flags)))
     return math.ldexp(total, exp2)
 
@@ -918,7 +918,7 @@ class TestBatchRule:
             for joint in (problem.p, problem.q):
                 cells = quantile_map(joint.probs.ravel(), u_src) + rows
                 counts = np.bincount(cells.ravel(), minlength=trials * 8).reshape(trials, 8)
-                flags = _read_flags(counts, _read_plan(joint.dims, scheme))
+                flags = _read_flags(counts, _read_plan(joint.dims, scheme), scheme)
                 batch = scheme.accept_weights(flags, shown)
                 ref = per_sequence_accepts(joint, ch, scheme, u_src, u_marker)
                 np.testing.assert_array_equal(batch, ref)
@@ -954,7 +954,7 @@ class TestBlockKernelProperty:
         )
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         counts = rng.multinomial(scheme.n, draw_pmf(data, math.prod(dims)), size=200)
-        flags = _read_flags(counts, _read_plan(dims, scheme))
+        flags = _read_flags(counts, _read_plan(dims, scheme), scheme)
         assert sorted(flags) == sorted(pinned_axes(scheme.cls))
         for axis, got in flags.items():
             other = tuple(1 + a for a in range(3) if a != axis)
